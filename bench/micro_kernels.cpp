@@ -1,15 +1,18 @@
 // Microbenchmarks of the computational kernels: tautology, complement,
 // expand, full espresso minimisation, symbolic constraint derivation, and
-// PICOLA column generation.  The custom main() additionally runs the
-// obs-overhead gate: with instrumentation compiled in but switched off,
-// the implied cost of the span guards must stay under 1% of a
-// picola_encode run on the Table-1 instances.
+// PICOLA column generation.  The custom main() additionally runs three
+// gates: with instrumentation compiled in but switched off, the implied
+// cost of the span guards (obs) and of the fault hooks must each stay
+// under 1% of a picola_encode run on the Table-1 instances, and scoring
+// an encoding with evaluate_constraints must cost no more than producing
+// it, summed over the 31 Table I instances.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <random>
+#include <string>
 
 #include "constraints/derive.h"
 #include "core/picola.h"
@@ -213,6 +216,40 @@ bool run_fault_overhead_check() {
   return ok;
 }
 
+/// The cost-kernel gate: over the 31 Table I instances, scoring the
+/// PICOLA encoding (evaluate_constraints) must take no longer in total
+/// than producing it (picola_encode).  Both are timed in this process,
+/// kReps calls each per instance, and every instance is printed.
+bool run_eval_cost_check() {
+  std::printf(
+      "\neval cost gate (sum evaluate_constraints <= sum picola_encode, "
+      "Table I):\n");
+  constexpr int kReps = 5;
+  double encode_total_ns = 0, eval_total_ns = 0;
+  for (const std::string& name : table1_benchmarks()) {
+    DerivedConstraints d = derive_face_constraints(make_benchmark(name));
+    Encoding e;
+    uint64_t t0 = steady_now_ns();
+    for (int i = 0; i < kReps; ++i) e = picola_encode(d.set).encoding;
+    double encode_ns = static_cast<double>(steady_now_ns() - t0) / kReps;
+    t0 = steady_now_ns();
+    for (int i = 0; i < kReps; ++i)
+      benchmark::DoNotOptimize(evaluate_constraints(d.set, e).total_cubes);
+    double eval_ns = static_cast<double>(steady_now_ns() - t0) / kReps;
+    encode_total_ns += encode_ns;
+    eval_total_ns += eval_ns;
+    std::printf("  %-8s encode %10.1f us, eval %10.1f us -> %5.2f\n",
+                name.c_str(), encode_ns / 1e3, eval_ns / 1e3,
+                eval_ns / encode_ns);
+  }
+  bool ok = eval_total_ns <= encode_total_ns;
+  std::printf("  %-8s encode %10.1f us, eval %10.1f us -> %5.2f %s\n", "total",
+              encode_total_ns / 1e3, eval_total_ns / 1e3,
+              eval_total_ns / encode_total_ns,
+              ok ? "OK" : "FAIL (eval > encode)");
+  return ok;
+}
+
 }  // namespace
 }  // namespace picola
 
@@ -223,5 +260,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   bool ok = picola::run_obs_overhead_check();
   ok &= picola::run_fault_overhead_check();
+  ok &= picola::run_eval_cost_check();
   return ok ? 0 : 1;
 }

@@ -30,7 +30,10 @@ bool dichotomy_satisfied(const FaceConstraint& c, int outsider,
 }
 
 bool constraint_satisfied(const FaceConstraint& c, const Encoding& enc) {
-  return intruders(c, enc).empty();
+  CodeCube super = enc.supercube(c.members);
+  for (int j = 0; j < enc.num_symbols; ++j)
+    if (super.contains(enc.code(j)) && !c.contains(j)) return false;
+  return true;
 }
 
 std::vector<int> intruders(const FaceConstraint& c, const Encoding& enc) {

@@ -3,7 +3,7 @@
 // on multi-valued positional-notation covers (binary logic, symbolic
 // variables and multiple outputs are all instances of the same framework).
 //
-// The implementation follows the classic loop:
+// The implementation follows the classic loop (R may also be supplied):
 //   R = COMPLEMENT(F ∪ D); EXPAND; IRREDUNDANT; ESSENTIAL;
 //   repeat { REDUCE; EXPAND; IRREDUNDANT } until no gain.
 //
@@ -90,6 +90,14 @@ struct EspressoResult {
 /// Heuristically minimise onset `F` with dc-set `D` (same space).  The
 /// result covers F, avoids the off-set, and is irredundant and prime.
 EspressoResult minimize(const Cover& F, const Cover& D,
+                        const EspressoOptions& opt = {});
+
+/// As above, with the off-set `R` given instead of computed as
+/// complement(F ∪ D).  `R` must cover exactly the minterms outside
+/// F ∪ D; its cubes may be any cover of them (minterms will do), because
+/// EXPAND and LASTGASP, its only readers, test each raise against the
+/// off-set as a set.  The result is the one the overload above returns.
+EspressoResult minimize(const Cover& F, const Cover& D, const Cover& R,
                         const EspressoOptions& opt = {});
 
 /// Convenience: minimize and return just the cover.

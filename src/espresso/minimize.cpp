@@ -3,15 +3,12 @@
 #include "espresso/espresso.h"
 
 namespace picola::esp {
+namespace {
 
-EspressoResult minimize(const Cover& F_in, const Cover& D, const EspressoOptions& opt) {
-  Cover F = F_in;
-  F.remove_empty();
-  F.remove_contained();
-  if (F.empty()) return {F, 0};
-
-  const Cover R = complement_fd(F, D);
-
+/// The loop proper, on an onset already cleaned of empty and contained
+/// cubes.
+EspressoResult improve(Cover F, const Cover& D, const Cover& R,
+                       const EspressoOptions& opt) {
   F = expand(std::move(F), R);
   F = irredundant(std::move(F), D);
 
@@ -51,6 +48,30 @@ EspressoResult minimize(const Cover& F_in, const Cover& D, const EspressoOptions
   F.append(E);
   F.remove_contained();
   return {std::move(F), iters};
+}
+
+Cover cleaned(const Cover& F) {
+  Cover f = F;
+  f.remove_empty();
+  f.remove_contained();
+  return f;
+}
+
+}  // namespace
+
+EspressoResult minimize(const Cover& F_in, const Cover& D,
+                        const EspressoOptions& opt) {
+  Cover F = cleaned(F_in);
+  if (F.empty()) return {F, 0};
+  const Cover R = complement_fd(F, D);
+  return improve(std::move(F), D, R, opt);
+}
+
+EspressoResult minimize(const Cover& F_in, const Cover& D, const Cover& R,
+                        const EspressoOptions& opt) {
+  Cover F = cleaned(F_in);
+  if (F.empty()) return {F, 0};
+  return improve(std::move(F), D, R, opt);
 }
 
 }  // namespace picola::esp

@@ -6,6 +6,13 @@
 // product terms of a minimised SOP of that function (footnote 2 of the
 // paper).  The reported "cubes" value of Table I is the sum over all
 // constraints.
+//
+// A constraint with no intruder (paper §2) costs exactly one cube and is
+// scored without ESPRESSO; only the others are minimised, with the
+// non-member codes handed to ESPRESSO as its off-set.  Every count and
+// cover stays what a plain ESPRESSO run gives (docs/ALGORITHM.md,
+// "Scoring"); check/reference_eval.h keeps that run as the test oracle.
+// Precondition: a valid encoding (distinct codes).
 
 #include <vector>
 
@@ -28,7 +35,8 @@ struct ConstraintEvalResult {
 ConstraintEvalResult evaluate_constraints(const ConstraintSet& cs,
                                           const Encoding& enc);
 
-/// The minimised SOP cover itself (for inspection / examples).
+/// The minimised SOP cover itself (for inspection / examples).  Always
+/// runs ESPRESSO, also for an intruder-free constraint.
 Cover constraint_cover(const FaceConstraint& c, const Encoding& enc);
 
 }  // namespace picola

@@ -1,7 +1,6 @@
 #include "portfolio/backend.h"
 
 #include "check/verifier.h"
-#include "constraints/dichotomy.h"
 #include "encoders/annealing.h"
 #include "eval/constraint_eval.h"
 #include "obs/obs.h"
@@ -52,14 +51,19 @@ std::vector<BackendTask> portfolio_plan(BackendKind backend, int restarts) {
 namespace {
 
 /// Shared tail of every slot: evaluate, optionally self-check, finalise.
-void seal_outcome(const ConstraintSet& cs, bool self_check,
-                  BackendOutcome* out) {
+/// Returns the number of constraints scored at one cube, which by the
+/// paper's §2 equivalence is the number the encoding satisfies.
+int seal_outcome(const ConstraintSet& cs, bool self_check,
+                 BackendOutcome* out) {
   if (self_check)
     check::enforce(check::verify_encoding(cs, out->result.encoding),
                    std::string("backend_") +
                        backend_kind_name(out->backend));
-  out->total_cubes = evaluate_constraints(cs, out->result.encoding).total_cubes;
+  const ConstraintEvalResult eval =
+      evaluate_constraints(cs, out->result.encoding);
+  out->total_cubes = eval.total_cubes;
   out->feasible = true;
+  return eval.satisfied;
 }
 
 BackendOutcome run_picola(const ConstraintSet& cs, const PicolaOptions& popt,
@@ -114,8 +118,7 @@ BackendOutcome run_anneal(const ConstraintSet& cs, const PicolaOptions& popt,
   AnnealingResult res = annealing_encode(cs, ao);
   out.result.encoding = std::move(res.encoding);
   out.result.stats.satisfied_constraints =
-      count_satisfied_constraints(cs, out.result.encoding);
-  seal_outcome(cs, popt.self_check, &out);
+      seal_outcome(cs, popt.self_check, &out);
   return out;
 }
 

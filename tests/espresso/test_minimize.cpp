@@ -100,6 +100,30 @@ TEST(Minimize, XorNeedsTwoCubes) {
   EXPECT_TRUE(test::same_function(m, f));
 }
 
+TEST(Minimize, GivenOffSetMintermsGiveTheSameCover) {
+  // The off-set overload depends on R only as a set: handing it the
+  // off-set's minterms reproduces the complement-based run exactly.
+  CubeSpace s = CubeSpace::binary(5);
+  std::mt19937 rng(11);
+  for (int trial = 0; trial < 40; ++trial) {
+    Cover f = test::random_cover(s, 2 + trial % 6, rng);
+    Cover d = test::random_cover(s, trial % 3, rng);
+    Cover fd = f;
+    fd.append(d);
+    Cover r(s);
+    Cover::for_each_minterm(s, [&](const std::vector<int>& values) {
+      if (fd.covers_minterm(values)) return;
+      Cube m = Cube::full(s);
+      for (int v = 0; v < s.num_vars(); ++v) m.set_binary(s, v, values[v]);
+      r.add(m);
+    });
+    esp::EspressoResult computed = esp::minimize(f, d);
+    esp::EspressoResult given = esp::minimize(f, d, r);
+    EXPECT_EQ(given.cover.cubes(), computed.cover.cubes()) << "trial " << trial;
+    EXPECT_EQ(given.iterations, computed.iterations) << "trial " << trial;
+  }
+}
+
 TEST(Minimize, EmptyOnset) {
   CubeSpace s = CubeSpace::binary(3);
   Cover m = esp::minimize_cover(Cover(s), Cover(s));

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
+#include "base/problem_io.h"
+#include "check/reference_eval.h"
+#include "constraints/derive.h"
+#include "core/picola.h"
 #include "core/theorem1.h"
 #include "encoders/trivial.h"
 #include "eval/constraint_eval.h"
 #include "eval/metrics.h"
+#include "kiss/benchmarks.h"
+#include "obs/obs.h"
 
 namespace picola {
 namespace {
@@ -66,6 +73,62 @@ TEST(ConstraintEval, AgreesWithTheorem1WhenApplicable) {
     EXPECT_LE(constraint_cube_count(c, e), *t1);
   }
   EXPECT_GT(checked, 20);
+}
+
+TEST(ConstraintEval, KernelMatchesReferenceOnTableOneRestarts) {
+  // Counts, totals, satisfied count and covers of every Table I set under
+  // the four restart encodings a default job scores.
+  for (const std::string& name : table1_benchmarks()) {
+    ConstraintSet cs = derive_face_constraints(make_benchmark(name)).set;
+    for (int r = 0; r < 4; ++r) {
+      Encoding e = picola_encode(cs, picola_restart_options({}, r)).encoding;
+      EXPECT_EQ(check::eval_mismatch(cs, e), "") << name << " restart " << r;
+    }
+  }
+}
+
+TEST(ConstraintEval, KernelMatchesReferenceOnRandomCodes) {
+  // Random codes leave most constraints with an intruder, so this runs
+  // the ESPRESSO path far more often than the encoders' codes do.
+  std::mt19937_64 rng(7);
+  for (int trial = 0; trial < 60; ++trial) {
+    int n = 3 + static_cast<int>(rng() % 14);
+    ConstraintSet cs;
+    cs.num_symbols = n;
+    for (int k = 0; k < 6; ++k) {
+      std::vector<int> members;
+      for (int s = 0; s < n; ++s)
+        if (rng() % 3 == 0) members.push_back(s);
+      cs.add(members);
+    }
+    int nv = Encoding::min_bits(n) + static_cast<int>(rng() % 3);
+    Encoding e = random_encoding(n, rng(), nv);
+    EXPECT_EQ(check::eval_mismatch(cs, e), "") << "trial " << trial;
+  }
+}
+
+TEST(ConstraintEval, LongCodesScoreWithoutEspresso) {
+  // Fig. 1 at 20 bits: PICOLA satisfies all four constraints, so none is
+  // minimised and no cover of the ~10^6 unused codes is built.
+  std::string error;
+  auto p = load_problem_file(
+      std::string(PICOLA_EXAMPLES_DIR) + "/paper_fig1.con", &error);
+  ASSERT_TRUE(p) << error;
+  PicolaOptions opt;
+  opt.num_bits = 20;
+  Encoding e = picola_encode(p->set, opt).encoding;
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset();
+  obs::set_enabled(true);
+  ConstraintEvalResult r = evaluate_constraints(p->set, e);
+  obs::set_enabled(false);
+  EXPECT_EQ(r.total_cubes, 4);
+  EXPECT_EQ(r.satisfied, 4);
+#ifndef PICOLA_OBS_DISABLED
+  EXPECT_EQ(reg.counter("eval/constraints").value(), 4u);
+  EXPECT_EQ(reg.counter("eval/espresso_fallbacks").value(), 0u);
+#endif
+  reg.reset();
 }
 
 TEST(Metrics, EncodingQualitySummarises) {

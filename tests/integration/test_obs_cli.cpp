@@ -221,6 +221,10 @@ TEST_F(ObsCliTest, BatchMetricsPrintsPerPhaseAndServiceReports) {
   // The process-wide per-phase histograms need the macros compiled in.
   EXPECT_NE(text.find("# picola/encode count="), std::string::npos);
   EXPECT_NE(text.find("# espresso/eval count="), std::string::npos);
+  // Cost-kernel quality counters: constraints scored, and how many of
+  // them needed ESPRESSO.
+  EXPECT_NE(text.find("# eval/constraints count="), std::string::npos);
+  EXPECT_NE(text.find("# eval/espresso_fallbacks count="), std::string::npos);
 #endif
   // Service bookkeeping bypasses the macros and is always present.
   EXPECT_NE(text.find("# service/jobs_submitted count="), std::string::npos);

@@ -21,6 +21,7 @@
 #include "base/problem_io.h"
 #include "check/instance_gen.h"
 #include "constraints/constraint_io.h"
+#include "fault/fault.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/hash_ring.h"
@@ -79,6 +80,31 @@ JsonValue inline_request(const std::string& con, const std::string& id,
   r.set("id", JsonValue::make_string(id));
   r.set("restarts", JsonValue::make_int(restarts));
   return r;
+}
+
+/// The drain tests park a job that must still be running when the drain
+/// starts, however fast encoding is.  Where fault hooks exist, this plan
+/// holds the job's first restart task for 300 ms.
+fault::FaultPlan parked_job_delay() {
+  fault::FaultPlan plan(1);
+  plan.add({"service/restart_task",
+            {fault::Kind::kDelay, 0, 0, /*delay_ms=*/300},
+            0, 1, 1, 1.0});
+  return plan;
+}
+
+/// The parked job's request.  PICOLA_FAULT_DISABLED builds ignore the
+/// delay plan, so there the job runs one annealer slot instead, which
+/// takes a few hundred milliseconds on a 20-plus-symbol instance.
+JsonValue parked_request(const std::string& con, const std::string& id,
+                         [[maybe_unused]] int restarts) {
+#ifndef PICOLA_FAULT_DISABLED
+  return inline_request(con, id, restarts);
+#else
+  JsonValue r = inline_request(con, id, 1);
+  r.set("backend", JsonValue::make_string("anneal"));
+  return r;
+#endif
 }
 
 /// A minimal frame-speaking backend with a scripted reply, for the tests
@@ -413,11 +439,12 @@ TEST(Cluster, ObservesDrainReroutesAndReadmitsAfterRestart) {
   std::string error;
   ASSERT_TRUE(cluster.call(ping, key, &error)) << error;
 
-  // Park a slow job on A, then start its graceful drain.
+  // Park a job on A, then start its graceful drain.
+  fault::ScopedPlan scoped(parked_job_delay());
   Client occupier;
   ASSERT_TRUE(occupier.connect("127.0.0.1", port_a));
   ASSERT_TRUE(
-      occupier.send(inline_request(gen_con(3, 30, 34), "slow", 16).dump()));
+      occupier.send(parked_request(gen_con(3, 30, 34), "slow", 16).dump()));
   for (int i = 0; i < 500 && a->stats().requests_admitted < 1; ++i)
     sleep_ms(2);
   ASSERT_GE(a->stats().requests_admitted, 1);
@@ -559,9 +586,11 @@ TEST(Cluster, DrainSnapshotsThePersistCacheBeforeTheFinalReply) {
   Server server(so);
   server.start();
 
+  // The job is still in flight when the drain starts.
+  fault::ScopedPlan scoped(parked_job_delay());
   Client c;
   ASSERT_TRUE(c.connect("127.0.0.1", server.port()));
-  ASSERT_TRUE(c.send(inline_request(gen_con(9, 20, 24), "final", 8).dump()));
+  ASSERT_TRUE(c.send(parked_request(gen_con(9, 20, 24), "final", 8).dump()));
   for (int i = 0; i < 500 && server.stats().requests_admitted < 1; ++i)
     sleep_ms(2);
   ASSERT_GE(server.stats().requests_admitted, 1);

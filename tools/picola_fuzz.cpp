@@ -15,7 +15,10 @@
 //    (satisfiable_with_prefix); pairwise flags are by design a
 //    conservative filter and are exempt;
 //  * sampled: espresso-evaluated total cubes never beat the oracle's
-//    minimum over all encodings.
+//    minimum over all encodings;
+//  * the cost kernel (evaluate_constraints, constraint_cover) agrees with
+//    the reference evaluator (check/reference_eval.h) on the PICOLA codes
+//    and on seeded random codes at nv = min, min+1 or min+2.
 //
 // --portfolio switches to the portfolio-differential mode (ISSUE:
 // encoder portfolio subsystem): every instance runs through the full
@@ -27,7 +30,8 @@
 // differential: the incremental descending and binary sweeps must
 // return verdicts and models bit-identical to scratch re-solving per
 // target, and the lazy distinctness encoding must reach the same
-// optimum with a verifying encoding.
+// optimum with a verifying encoding.  Every slot's encoding is also held
+// to the reference evaluator.
 //
 // Failures are shrunk to a minimal reproducer (drop constraints, drop
 // members, drop trailing unused symbols) and dumped in .con format.
@@ -46,10 +50,12 @@
 #include "base/parse_util.h"
 #include "check/instance_gen.h"
 #include "check/oracle.h"
+#include "check/reference_eval.h"
 #include "check/verifier.h"
 #include "constraints/constraint_io.h"
 #include "constraints/dichotomy.h"
 #include "core/picola.h"
+#include "encoders/trivial.h"
 #include "eval/constraint_eval.h"
 #include "obs/metrics.h"
 #include "portfolio/portfolio.h"
@@ -76,6 +82,7 @@ struct FuzzCounters {
   long min_cube_checked = 0;
   long prefix_checked = 0;  ///< satisfiable_with_prefix differential tests
   long sweep_checked = 0;   ///< incremental-vs-scratch sweep differentials
+  long eval_checked = 0;    ///< encodings scored by kernel and reference
   long failures = 0;
 };
 
@@ -103,6 +110,16 @@ bool flag_reason_is_sound(const FaceConstraint& c, const Encoding& enc,
   long global_dc = (1L << nv) - enc.num_symbols;
   if ((1L << dim) - c.size() > global_dc) return true;
   return (nv - dim) - pinned <= 0;
+}
+
+/// Cost kernel vs the reference evaluator on one encoding.
+void check_eval(const ConstraintSet& cs, const Encoding& enc,
+                const std::string& what, std::vector<std::string>* v,
+                FuzzCounters* counters) {
+  std::string mismatch = check::eval_mismatch(cs, enc);
+  if (!mismatch.empty())
+    v->push_back("cost kernel vs reference on " + what + ": " + mismatch);
+  if (counters) ++counters->eval_checked;
 }
 
 /// Portfolio-differential checks for one instance (--portfolio):
@@ -133,6 +150,13 @@ std::vector<std::string> check_portfolio_instance(const ConstraintSet& cs,
     return v;
   }
   if (counters) ++counters->invariant_checked;
+
+  for (const portfolio::BackendOutcome& o : res.outcomes)
+    if (o.feasible)
+      check_eval(cs, o.result.encoding,
+                 std::string(portfolio::backend_kind_name(o.backend)) +
+                     " slot codes",
+                 &v, counters);
 
   // The whole portfolio must be bit-identical across runs.
   portfolio::PortfolioResult again =
@@ -269,6 +293,16 @@ std::vector<std::string> check_instance(const ConstraintSet& cs, int num_bits,
       v.push_back("non-deterministic result (tie_break_seed = " +
                   std::to_string(r.tie_break_seed) + ")");
   }
+
+  // Random codes leave most constraints with an intruder, so they drive
+  // the kernel's ESPRESSO path far more often than PICOLA's codes do.
+  check_eval(cs, enc, "PICOLA codes", &v, counters);
+  const int random_bits = Encoding::min_bits(n) + static_cast<int>(iter % 3);
+  check_eval(cs,
+             random_encoding(n, fo.seed ^ (iter * 0x9E3779B97F4A7C15ULL),
+                             random_bits),
+             "random " + std::to_string(random_bits) + "-bit codes", &v,
+             counters);
 
   // Sound infeasibility flags must hold up against the exact
   // prefix-conditioned satisfiability test (cost-capped).
@@ -451,6 +485,7 @@ int fuzz_main(const FuzzOptions& fo) {
             << counters.oracle_checked << " oracle-checked, "
             << counters.prefix_checked << " prefix-differential, "
             << counters.sweep_checked << " sweep-differential, "
+            << counters.eval_checked << " eval-differential, "
             << counters.min_cube_checked << " min-cube-checked, "
             << counters.failures << " failures, check/violations="
             << reg.counter("check/violations").value() << "\n";
