@@ -8,10 +8,12 @@
 // n <= 32 cap is gone: the difference distinctness encoding is
 // polynomial in n and the at-least-t sweep is incremental, so the sat
 // column finishes in seconds even on scf.  Every problem runs through
-// each backend alone — picola, sat_exact (conflict-budgeted), anneal —
-// and through the full portfolio; the table and BENCH_portfolio.json
-// record per-backend wall time, cube counts, code length, win rates,
-// and the result of the never-worse-than-picola gate.
+// each portfolio backend alone — picola and sat_exact
+// (conflict-budgeted) — and through the portfolio; the table and
+// BENCH_portfolio.json record per-backend wall time, cube counts, code
+// length, win rates, and the result of the never-worse-than-picola
+// gate.  The annealer is not a portfolio slot; encoder_comparison keeps
+// it as the paper baseline.
 //
 // Flags:
 //   --table1-full   Table I suite only (skip the generator families) —
@@ -94,13 +96,13 @@ struct BackendRun {
 struct Row {
   std::string name;
   int n = 0;
-  BackendRun runs[4];  ///< indexed like kBackends
+  BackendRun runs[3];  ///< indexed like kBackends
   portfolio::BackendKind winner = portfolio::BackendKind::kPicola;
 };
 
-constexpr portfolio::BackendKind kBackends[4] = {
+constexpr portfolio::BackendKind kBackends[3] = {
     portfolio::BackendKind::kPicola, portfolio::BackendKind::kSat,
-    portfolio::BackendKind::kAnneal, portfolio::BackendKind::kPortfolio};
+    portfolio::BackendKind::kPortfolio};
 
 BackendRun run_backend(const ConstraintSet& cs, portfolio::BackendKind kind,
                        long timeout_ms) {
@@ -168,16 +170,16 @@ int main(int argc, char** argv) {
 
   std::vector<Problem> problems = make_workload(table1_only);
   std::vector<Row> rows;
-  int wins[4] = {0, 0, 0, 0};
+  int wins[2] = {0, 0};
   int gate_violations = 0;
 
   std::printf("portfolio bench: %zu problems, %d restarts, sat budget %ld "
               "conflicts%s\n\n",
               problems.size(), kRestarts, kSatConflicts,
               table1_only ? ", Table I only" : "");
-  std::printf("%-12s %4s | %9s %9s %9s %9s | %6s\n", "problem", "n",
-              "picola", "sat", "anneal", "portfolio", "winner");
-  std::printf("%.*s\n", 78,
+  std::printf("%-12s %4s | %9s %9s %9s | %6s\n", "problem", "n",
+              "picola", "sat", "portfolio", "winner");
+  std::printf("%.*s\n", 68,
               "------------------------------------------------------------"
               "------------------");
 
@@ -185,19 +187,19 @@ int main(int argc, char** argv) {
     Row row;
     row.name = p.name;
     row.n = p.set.num_symbols;
-    for (int b = 0; b < 4; ++b)
+    for (int b = 0; b < 3; ++b)
       row.runs[b] = run_backend(p.set, kBackends[b], timeout_ms);
 
     // The portfolio's winning backend, re-derived from the single-backend
-    // cube counts with the plan-order tie-break (picola, sat, anneal).
-    const BackendRun& port = row.runs[3];
+    // cube counts with the plan-order tie-break (picola, then sat).
+    const BackendRun& port = row.runs[2];
     row.winner = portfolio::BackendKind::kPicola;
-    for (int b = 0; b < 3; ++b)
+    for (int b = 0; b < 2; ++b)
       if (row.runs[b].ok && port.ok && row.runs[b].cubes == port.cubes) {
         row.winner = kBackends[b];
         break;
       }
-    for (int b = 0; b < 3; ++b)
+    for (int b = 0; b < 2; ++b)
       if (kBackends[b] == row.winner) ++wins[b];
 
     const BackendRun& alone = row.runs[0];
@@ -213,20 +215,18 @@ int main(int argc, char** argv) {
       else
         std::snprintf(buf, len, "%s/%.0fms", r.timed_out ? "t/o" : "-", r.ms);
     };
-    char c0[32], c1[32], c2[32], c3[32];
+    char c0[32], c1[32], c2[32];
     cell(row.runs[0], c0, sizeof c0);
     cell(row.runs[1], c1, sizeof c1);
     cell(row.runs[2], c2, sizeof c2);
-    cell(row.runs[3], c3, sizeof c3);
-    std::printf("%-12s %4d | %9s %9s %9s %9s | %6s\n", p.name.c_str(), row.n,
-                c0, c1, c2, c3, portfolio::backend_kind_name(row.winner));
+    std::printf("%-12s %4d | %9s %9s %9s | %6s\n", p.name.c_str(), row.n, c0,
+                c1, c2, portfolio::backend_kind_name(row.winner));
     rows.push_back(std::move(row));
   }
 
   const double total = static_cast<double>(rows.size());
-  std::printf("\nwin rate: picola %.0f%%, sat %.0f%%, anneal %.0f%%\n",
-              100.0 * wins[0] / total, 100.0 * wins[1] / total,
-              100.0 * wins[2] / total);
+  std::printf("\nwin rate: picola %.0f%%, sat %.0f%%\n",
+              100.0 * wins[0] / total, 100.0 * wins[1] / total);
   std::printf("never-worse-than-picola gate: %s\n",
               gate_violations == 0 ? "PASS" : "FAIL");
 
@@ -245,7 +245,7 @@ int main(int argc, char** argv) {
     std::fprintf(f, "%s{\"name\":\"%s\",\"n\":%d,\"winner\":\"%s\"",
                  i ? "," : "", r.name.c_str(), r.n,
                  portfolio::backend_kind_name(r.winner));
-    for (int b = 0; b < 4; ++b) {
+    for (int b = 0; b < 3; ++b) {
       const BackendRun& br = r.runs[b];
       std::fprintf(f,
                    ",\"%s\":{\"ms\":%.3f,\"cubes\":%ld,\"bits\":%d,"
@@ -257,9 +257,9 @@ int main(int argc, char** argv) {
     std::fprintf(f, "}");
   }
   std::fprintf(f,
-               "],\"win_rate\":{\"picola\":%.3f,\"sat\":%.3f,\"anneal\":%.3f},"
+               "],\"win_rate\":{\"picola\":%.3f,\"sat\":%.3f},"
                "\"gate_never_worse_than_picola\":\"%s\"}\n",
-               wins[0] / total, wins[1] / total, wins[2] / total,
+               wins[0] / total, wins[1] / total,
                gate_violations == 0 ? "pass" : "fail");
   std::fclose(f);
   std::printf("wrote BENCH_portfolio.json\n");

@@ -57,6 +57,13 @@ std::optional<uint64_t> journal_name_epoch(const std::string& name) {
   throw std::runtime_error("persist: refusing to load " + file + ": " + what);
 }
 
+void check_version(const std::string& file, uint32_t version) {
+  if (version != kFormatVersion)
+    corrupt(file, "format version " + std::to_string(version) +
+                      " (this build reads version " +
+                      std::to_string(kFormatVersion) + ")");
+}
+
 std::string journal_header(uint64_t epoch) {
   Writer w;
   w.bytes({kJournalMagic, 4});
@@ -141,10 +148,7 @@ LoadStats CacheStore::load(ResultCache* cache) {
     r.u64(&snapshot_epoch);
     r.u64(&count);
     if (std::memcmp(magic, kSnapshotMagic, 4) != 0) corrupt(snap, "bad magic");
-    if (version != kFormatVersion)
-      corrupt(snap, "format version " + std::to_string(version) +
-                        " (this build reads version " +
-                        std::to_string(kFormatVersion) + ")");
+    check_version(snap, version);
     size_t pos = kSnapshotHeaderSize;
     for (uint64_t i = 0; i < count; ++i) {
       if (data.size() - pos < kFrameHeaderSize + kTrailerSize)
@@ -218,8 +222,7 @@ LoadStats CacheStore::load(ResultCache* cache) {
       r.u64(&epoch);
       r.u32(&header_crc);
       if (std::memcmp(magic, kJournalMagic, 4) != 0) corrupt(path, "bad magic");
-      if (version != kFormatVersion)
-        corrupt(path, "format version " + std::to_string(version));
+      check_version(path, version);
       if (epoch != epochs[j]) corrupt(path, "epoch does not match file name");
       if (crc32c(std::string_view(data).substr(0, kJournalHeaderSize - 4)) !=
           header_crc)

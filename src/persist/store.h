@@ -50,8 +50,11 @@
 
 namespace picola::persist {
 
-/// Bump whenever the record codec (codec.h) or file framing changes.
-constexpr uint32_t kFormatVersion = 1;
+/// Bump whenever the record codec (codec.h) or file framing changes, or
+/// when a job's result changes under an unchanged fingerprint.  Version 2:
+/// the portfolio plan no longer runs the annealer, so a version-1 dir can
+/// hold annealer-won portfolio entries this build would not reproduce.
+constexpr uint32_t kFormatVersion = 2;
 
 struct StoreOptions {
   std::string dir;  ///< created if missing (one level)

@@ -42,7 +42,7 @@ std::vector<BackendTask> portfolio_plan(BackendKind backend, int restarts) {
       plan.push_back({BackendKind::kPicola, r});
   if (backend == BackendKind::kSat || backend == BackendKind::kPortfolio)
     plan.push_back({BackendKind::kSat, 0});
-  if (backend == BackendKind::kAnneal || backend == BackendKind::kPortfolio)
+  if (backend == BackendKind::kAnneal)
     for (int r = 0; r < restarts; ++r)
       plan.push_back({BackendKind::kAnneal, r});
   return plan;

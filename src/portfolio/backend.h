@@ -1,20 +1,23 @@
 #pragma once
-// Encoder backends racing under one front-end (the ROADMAP "portfolio"
-// item): the paper's PICOLA, the exact SAT reduction (src/sat), and the
-// stochastic annealer — behind a common task/outcome interface so the
-// EncodingService can fan any of them onto its thread pool with the same
-// deterministic reduction it uses for plain multi-start PICOLA.
+// Encoder backends behind one front-end: the paper's PICOLA, the exact
+// SAT reduction (src/sat), and the stochastic annealer — behind a common
+// task/outcome interface so the EncodingService can fan any of them onto
+// its thread pool with the same deterministic reduction it uses for
+// plain multi-start PICOLA.
 //
 // Determinism contract: a plan is a fixed list of (backend, restart)
-// slots — PICOLA restarts first with exactly the seeds of a
-// picola-only run, then the single SAT slot, then the annealer restarts
-// with seeds derived from anneal_seed.  Every slot is bounded by
-// deterministic budgets (column algorithm / conflict budget / fixed
-// cooling schedule), and the winner is the lowest (espresso cube count,
-// plan index) among feasible slots.  Hence a portfolio run is
-// bit-identical across repeated executions and *structurally never
-// worse* than PICOLA alone: the picola slots come first, so any other
-// backend must strictly beat their cube count to win.
+// slots.  The portfolio plan is the PICOLA restarts, with exactly the
+// seeds of a picola-only run, then the single SAT slot.  The annealer
+// is not in it: it took two orders of magnitude longer than PICOLA and
+// won one Table I instance by one cube, so a portfolio job would only
+// wait for it.  It stays a backend of its own (`--backend anneal`, slot
+// r seeded with restart_seed(anneal_seed, r)) and the paper-comparison
+// baseline.  Every slot is bounded by deterministic budgets (column
+// algorithm / conflict budget / fixed cooling schedule), and the winner
+// is the lowest (espresso cube count, plan index) among feasible slots.
+// Hence a portfolio run is bit-identical across repeated executions and
+// *structurally never worse* than PICOLA alone: the picola slots come
+// first, so the SAT slot must strictly beat their cube count to win.
 
 #include <cstdint>
 #include <memory>
@@ -34,7 +37,7 @@ enum class BackendKind {
   kPicola,     ///< the paper's column-by-column algorithm
   kSat,        ///< exact CNF reduction + in-tree CDCL (src/sat)
   kAnneal,     ///< seeded stochastic flipper (encoders/annealing.h)
-  kPortfolio,  ///< all of the above, racing
+  kPortfolio,  ///< picola and sat, racing
 };
 
 const char* backend_kind_name(BackendKind k);
@@ -52,7 +55,8 @@ struct PortfolioOptions {
   sat::SweepMode sat_sweep = sat::SweepMode::kDescending;
   /// Deterministic conflict budget per SAT solver call; 0 = unlimited.
   long sat_max_conflicts = 200'000;
-  /// Base seed of the annealer slots (slot r uses restart_seed(seed, r)).
+  /// Base seed of the `--backend anneal` slots (slot r uses
+  /// restart_seed(seed, r)).  Fingerprinted for every backend.
   uint64_t anneal_seed = 1;
 };
 
@@ -68,8 +72,8 @@ struct BackendTask {
 };
 
 /// The slot list for `backend` at `restarts` multi-starts.  kPortfolio =
-/// picola x restarts, then sat, then anneal x restarts; single-backend
-/// kinds contain just their own slots.
+/// picola x restarts, then sat; single-backend kinds contain just their
+/// own slots.
 std::vector<BackendTask> portfolio_plan(BackendKind backend, int restarts);
 
 /// The outcome of one slot.  Infeasibility (the SAT backend proving or

@@ -56,8 +56,11 @@ Solver::Solver(const Cnf& cnf, SolverOptions opt)
   polarity_.assign(n, 0);
   seen_.assign(n, 0);
   watches_.assign(2 * n, {});
-  for (int v = 0; v < num_vars_; ++v) order_.push_back({0.0, -v});
-  std::make_heap(order_.begin(), order_.end());
+  // All activities start at 0, so index order is already a valid heap.
+  heap_.resize(n);
+  heap_pos_.resize(n);
+  for (int v = 0; v < num_vars_; ++v)
+    heap_[static_cast<size_t>(v)] = heap_pos_[static_cast<size_t>(v)] = v;
 
   std::vector<int> lits;
   for (const auto& clause : cnf.clauses) {
@@ -146,7 +149,8 @@ int Solver::add_var() {
   seen_.push_back(0);
   watches_.emplace_back();
   watches_.emplace_back();
-  push_order(v);
+  heap_pos_.push_back(-1);
+  heap_insert(v);
   return v + 1;
 }
 
@@ -263,17 +267,63 @@ void Solver::bump(int v) {
   if (activity_[static_cast<size_t>(v)] > 1e100) {
     for (double& a : activity_) a *= 1e-100;
     var_inc_ *= 1e-100;
-    // Re-seed the heap: every stale entry now exceeds the rescaled
-    // activities, so push a fresh entry per variable.
-    for (int u = 0; u < num_vars_; ++u) push_order(u);
+    // Scaling can round distinct activities to equal ones, which hands
+    // the order to the index tie-break: re-heapify on the new keys.
+    for (size_t i = heap_.size() / 2; i-- > 0;) heap_down(i);
     return;
   }
-  push_order(v);
+  int pos = heap_pos_[static_cast<size_t>(v)];
+  if (pos >= 0) heap_up(static_cast<size_t>(pos));
 }
 
-void Solver::push_order(int v) {
-  order_.push_back({activity_[static_cast<size_t>(v)], -v});
-  std::push_heap(order_.begin(), order_.end());
+bool Solver::heap_before(int a, int b) const {
+  double x = activity_[static_cast<size_t>(a)];
+  double y = activity_[static_cast<size_t>(b)];
+  return x > y || (x == y && a < b);
+}
+
+void Solver::heap_up(size_t pos) {
+  int v = heap_[pos];
+  while (pos > 0) {
+    size_t parent = (pos - 1) / 2;
+    if (!heap_before(v, heap_[parent])) break;
+    heap_[pos] = heap_[parent];
+    heap_pos_[static_cast<size_t>(heap_[pos])] = static_cast<int>(pos);
+    pos = parent;
+  }
+  heap_[pos] = v;
+  heap_pos_[static_cast<size_t>(v)] = static_cast<int>(pos);
+}
+
+void Solver::heap_down(size_t pos) {
+  int v = heap_[pos];
+  while (true) {
+    size_t child = 2 * pos + 1;
+    if (child >= heap_.size()) break;
+    if (child + 1 < heap_.size() && heap_before(heap_[child + 1], heap_[child]))
+      ++child;
+    if (!heap_before(heap_[child], v)) break;
+    heap_[pos] = heap_[child];
+    heap_pos_[static_cast<size_t>(heap_[pos])] = static_cast<int>(pos);
+    pos = child;
+  }
+  heap_[pos] = v;
+  heap_pos_[static_cast<size_t>(v)] = static_cast<int>(pos);
+}
+
+void Solver::heap_insert(int v) {
+  if (heap_pos_[static_cast<size_t>(v)] >= 0) return;
+  heap_.push_back(v);
+  heap_up(heap_.size() - 1);
+}
+
+int Solver::heap_pop() {
+  int top = heap_.front();
+  heap_pos_[static_cast<size_t>(top)] = -1;
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) heap_down(0);
+  return top;
 }
 
 void Solver::decay() {
@@ -340,7 +390,7 @@ void Solver::backtrack(int target) {
         static_cast<uint8_t>(value_[static_cast<size_t>(v)]);
     value_[static_cast<size_t>(v)] = -1;
     reason_[static_cast<size_t>(v)] = -1;
-    push_order(v);
+    heap_insert(v);
   }
   trail_.resize(floor);
   trail_lim_.resize(static_cast<size_t>(target));
@@ -349,20 +399,13 @@ void Solver::backtrack(int target) {
 
 int Solver::pick_branch() {
   check_cancel();  // cooperative cancellation in the decide loop
-  while (!order_.empty()) {
-    auto [act, negv] = order_.front();
-    std::pop_heap(order_.begin(), order_.end());
-    order_.pop_back();
-    int v = -negv;
-    if (value_[static_cast<size_t>(v)] != -1) continue;
-    if (act != activity_[static_cast<size_t>(v)]) continue;  // stale entry
-    return 2 * v + (polarity_[static_cast<size_t>(v)] ? 0 : 1);
-  }
-  // Defensive fallback: the heap invariant guarantees a fresh entry per
-  // unassigned variable, but a linear scan keeps the solver total.
-  for (int v = 0; v < num_vars_; ++v)
+  // Every unassigned variable is in the heap (backtrack re-inserts what
+  // it unassigns); assigned ones popped here return on backtrack.
+  while (!heap_.empty()) {
+    int v = heap_pop();
     if (value_[static_cast<size_t>(v)] == -1)
       return 2 * v + (polarity_[static_cast<size_t>(v)] ? 0 : 1);
+  }
   return -1;
 }
 
@@ -449,9 +492,11 @@ SolveStatus Solver::search() {
       int lit = pick_branch();
       if (lit < 0) return finish(SolveStatus::kSat);
       ++stats_.decisions;
-      if (deadline_expired()) return finish(SolveStatus::kUnknown);
+      // Assign before the deadline check: the popped variable must be on
+      // the trail, so the next call's backtrack returns it to the heap.
       trail_lim_.push_back(static_cast<int>(trail_.size()));
       enqueue(lit, -1);
+      if (deadline_expired()) return finish(SolveStatus::kUnknown);
     }
   }
 }

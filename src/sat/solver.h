@@ -6,6 +6,15 @@
 // sequence always produce the same verdict and model, so the sat backend
 // slots into the bit-identical-results contract of the encoding service.
 //
+// Branching keeps MiniSat's indexed variable-order heap (Een & Sorensson,
+// "An Extensible SAT-solver", SAT 2003): a binary max-heap of variables
+// keyed by (activity, lowest index) plus a var -> position map, so each
+// variable sits in the heap at most once.  A bump sifts the variable up,
+// backtracking re-inserts only variables that are absent, and the
+// decision pops until it reaches an unassigned variable — the argmax of
+// (activity, lowest index) over the unassigned variables.  Heap size and
+// pop cost stay bounded by the variable count however long the search.
+//
 // The solver is incremental (the MiniSat lifecycle model):
 //   * solve(assumptions) solves under a conjunction of assumption
 //     literals, placed as the first decisions; kUnsat then means
@@ -127,7 +136,11 @@ class Solver {
   void bump(int var);
   void bump_clause(int clause_index);
   void decay();
-  void push_order(int var);
+  bool heap_before(int a, int b) const;  ///< a is the better decision
+  void heap_up(size_t pos);
+  void heap_down(size_t pos);
+  void heap_insert(int var);  ///< no-op when var is already in the heap
+  int heap_pop();
   void check_cancel() const;
   bool deadline_expired();
   SolveStatus finish(SolveStatus s);  ///< records sat/* obs counters
@@ -158,9 +171,10 @@ class Solver {
   double cla_inc_ = 1.0;
   long live_learned_ = 0;   ///< learned clauses currently attached
   long reduce_limit_ = 0;   ///< live_learned_ threshold for reduce_db()
-  std::vector<std::pair<double, int>> order_;  ///< max-heap (activity, -var)
-  std::vector<uint8_t> polarity_;              ///< saved phase (1 = true)
-  std::vector<uint8_t> seen_;                  ///< analyze() scratch
+  std::vector<int> heap_;      ///< decision order: max-heap of vars
+  std::vector<int> heap_pos_;  ///< var -> index in heap_, -1 when absent
+  std::vector<uint8_t> polarity_;  ///< saved phase (1 = true)
+  std::vector<uint8_t> seen_;      ///< analyze() scratch
   std::vector<int> assumptions_;  ///< internal lits of the current call
   long conflict_floor_ = 0;       ///< stats_.conflicts at call start
   long deadline_countdown_ = 0;

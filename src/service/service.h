@@ -5,7 +5,8 @@
 // A submitted Job is canonicalised (job.h) and answered from the sharded
 // ResultCache when an equal job was already solved; otherwise its backend
 // plan (portfolio/backend.h — R picola restarts for the default backend,
-// plus the SAT and annealer slots when the job selects them) fans out as
+// R picola restarts plus one SAT slot for the portfolio, R annealer
+// restarts for `--backend anneal`) fans out as
 // independent ThreadPool tasks.  The last slot to finish reduces the
 // candidates by espresso cube count with deterministic tie-breaking
 // (lowest cost, then lowest plan index) — exactly the rule of the

@@ -344,44 +344,61 @@ TEST(StoreRecovery, MidJournalCorruptionHardFails) {
   EXPECT_THROW(store.load(&cache), std::runtime_error);
 }
 
-TEST(StoreRecovery, SnapshotVersionBumpHardFails) {
-  TempDir dir;
-  {
-    CacheStore store(opts(dir.path));
-    ResultCache cache(64, 4);
-    store.load(&cache);
-    cache.set_listener(&store);
-    cache.insert(make_job(0), make_result(1));
-    cache.set_listener(nullptr);
-    std::string err;
-    ASSERT_TRUE(store.snapshot(cache, &err)) << err;
-  }
-  std::string sp = dir.path + "/snapshot.pcs";
-  std::string bytes = file_bytes(sp);
-  uint32_t bad_version = kFormatVersion + 1;
-  std::memcpy(bytes.data() + 4, &bad_version, 4);  // after "PSNP"
-  write_bytes(sp, bytes);
-
-  CacheStore store(opts(dir.path));
+/// Load `dir` and expect a hard failure whose message names both the
+/// file's format version and the one this build reads.
+void expect_version_refused(const std::string& dir, uint32_t bad_version) {
+  CacheStore store(opts(dir));
   ResultCache cache(64, 4);
-  EXPECT_THROW(store.load(&cache), std::runtime_error);
+  try {
+    store.load(&cache);
+    ADD_FAILURE() << "version " << bad_version << " loaded";
+  } catch (const std::runtime_error& e) {
+    std::string what = e.what();
+    EXPECT_NE(what.find("format version " + std::to_string(bad_version)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("reads version " + std::to_string(kFormatVersion)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(StoreRecovery, SnapshotVersionBumpHardFails) {
+  // Older dirs too: a version-1 dir can hold results this build would
+  // not compute (see kFormatVersion).
+  for (uint32_t bad_version : {kFormatVersion - 1, kFormatVersion + 1}) {
+    TempDir dir;
+    {
+      CacheStore store(opts(dir.path));
+      ResultCache cache(64, 4);
+      store.load(&cache);
+      cache.set_listener(&store);
+      cache.insert(make_job(0), make_result(1));
+      cache.set_listener(nullptr);
+      std::string err;
+      ASSERT_TRUE(store.snapshot(cache, &err)) << err;
+    }
+    std::string sp = dir.path + "/snapshot.pcs";
+    std::string bytes = file_bytes(sp);
+    std::memcpy(bytes.data() + 4, &bad_version, 4);  // after "PSNP"
+    write_bytes(sp, bytes);
+    expect_version_refused(dir.path, bad_version);
+  }
 }
 
 TEST(StoreRecovery, JournalVersionBumpHardFails) {
-  TempDir dir;
-  {
-    CacheStore store(opts(dir.path));
-    journal_entries(&store, 1);
+  for (uint32_t bad_version : {kFormatVersion - 1, kFormatVersion + 1}) {
+    TempDir dir;
+    {
+      CacheStore store(opts(dir.path));
+      journal_entries(&store, 1);
+    }
+    std::string jp = journal_path(dir.path);
+    std::string bytes = file_bytes(jp);
+    std::memcpy(bytes.data() + 4, &bad_version, 4);  // after "PJNL"
+    write_bytes(jp, bytes);
+    expect_version_refused(dir.path, bad_version);
   }
-  std::string jp = journal_path(dir.path);
-  std::string bytes = file_bytes(jp);
-  uint32_t bad_version = kFormatVersion + 1;
-  std::memcpy(bytes.data() + 4, &bad_version, 4);  // after "PJNL"
-  write_bytes(jp, bytes);
-
-  CacheStore store(opts(dir.path));
-  ResultCache cache(64, 4);
-  EXPECT_THROW(store.load(&cache), std::runtime_error);
 }
 
 TEST(StoreRecovery, SnapshotBitFlipNeverLoadsACorruptEntry) {

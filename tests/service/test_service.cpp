@@ -117,6 +117,26 @@ TEST(EncodingServiceTest, ResubmissionHitsCache) {
   EXPECT_EQ(s.restart_tasks, 3);
 }
 
+TEST(EncodingServiceTest, PortfolioPostsRestartsPlusOneSatSlot) {
+  // The portfolio plan is the picola restarts and one sat slot; the
+  // annealer's restarts are posted only for a job that selects it.
+  EncodingService service(ServiceOptions{});
+  Job port;
+  port.set = paper_set();
+  port.restarts = 3;
+  port.portfolio.backend = portfolio::BackendKind::kPortfolio;
+  service.submit(std::move(port)).get();
+  EXPECT_EQ(service.stats().restart_tasks, 4);
+
+  Job anneal;
+  anneal.set = paper_set();
+  anneal.restarts = 3;
+  anneal.portfolio.backend = portfolio::BackendKind::kAnneal;
+  JobResult r = service.submit(std::move(anneal)).get();
+  EXPECT_EQ(r.backend, portfolio::BackendKind::kAnneal);
+  EXPECT_EQ(service.stats().restart_tasks, 4 + 3);
+}
+
 TEST(EncodingServiceTest, PermutedSubmissionHitsCache) {
   EncodingService service(ServiceOptions{});
   Job a;

@@ -20,18 +20,20 @@
 //    the reference evaluator (check/reference_eval.h) on the PICOLA codes
 //    and on seeded random codes at nv = min, min+1 or min+2.
 //
-// --portfolio switches to the portfolio-differential mode (ISSUE:
-// encoder portfolio subsystem): every instance runs through the full
-// backend portfolio (src/portfolio) with self-check on, must be
-// bit-identical across repeated runs and never worse than picola alone,
-// and on oracle-sized instances the sat_exact backend's verdict is
-// diffed against the brute-force oracle (proven results must hit the
-// exact optimum).  The same instances also drive the sweep
-// differential: the incremental descending and binary sweeps must
-// return verdicts and models bit-identical to scratch re-solving per
-// target, and the lazy distinctness encoding must reach the same
-// optimum with a verifying encoding.  Every slot's encoding is also held
-// to the reference evaluator.
+// --portfolio switches to the portfolio-differential mode: every
+// instance runs through the backend portfolio (src/portfolio: picola
+// restarts plus the sat slot) with self-check on, must be bit-identical
+// across repeated runs and never worse than picola alone, and on
+// oracle-sized instances the sat_exact backend's verdict is diffed
+// against the brute-force oracle (proven results must hit the exact
+// optimum).  The same instances also drive the sweep differential: the
+// incremental descending and binary sweeps must return verdicts and
+// models bit-identical to scratch re-solving per target, and the lazy
+// distinctness encoding must reach the same optimum with a verifying
+// encoding.  Each instance also gets one self-checked `--backend anneal`
+// encode, which the portfolio no longer runs but the service still
+// serves.  Every slot's encoding, the annealer's included, is held to
+// the reference evaluator.
 //
 // Failures are shrunk to a minimal reproducer (drop constraints, drop
 // members, drop trailing unused symbols) and dumped in .con format.
@@ -136,12 +138,15 @@ std::vector<std::string> check_portfolio_instance(const ConstraintSet& cs,
   popt.self_check = true;  // every backend's output through the verifier
   portfolio::PortfolioOptions all;
   all.backend = portfolio::BackendKind::kPortfolio;
-  all.anneal_seed = iter + 1;
+  portfolio::PortfolioOptions anneal;
+  anneal.backend = portfolio::BackendKind::kAnneal;
+  anneal.anneal_seed = iter + 1;
   const int kRestarts = 2;
 
-  portfolio::PortfolioResult res;
+  portfolio::PortfolioResult res, annealed;
   try {
     res = portfolio::portfolio_encode(cs, kRestarts, popt, all);
+    annealed = portfolio::portfolio_encode(cs, 1, popt, anneal);
   } catch (const check::SelfCheckError& e) {
     v.push_back(std::string("self-check: ") + e.what());
     return v;
@@ -157,6 +162,7 @@ std::vector<std::string> check_portfolio_instance(const ConstraintSet& cs,
                  std::string(portfolio::backend_kind_name(o.backend)) +
                      " slot codes",
                  &v, counters);
+  check_eval(cs, annealed.picola.encoding, "anneal codes", &v, counters);
 
   // The whole portfolio must be bit-identical across runs.
   portfolio::PortfolioResult again =
