@@ -1,7 +1,9 @@
 #include "cli/cli.h"
 
+#include <climits>
 #include <csignal>
 #include <fstream>
+#include <functional>
 
 #include "base/parse_util.h"
 #include <atomic>
@@ -30,6 +32,7 @@
 #include "obs/obs.h"
 #include "pla/pla_io.h"
 #include "net/client.h"
+#include "net/protocol.h"
 #include "net/server.h"
 #include "portfolio/portfolio.h"
 #include "sat/dimacs.h"
@@ -120,6 +123,22 @@ bool write_file(const std::string& path, const std::string& text,
   return true;
 }
 
+/// Reads integer option `key` into *out when it is given; false (after a
+/// "bad <key> value" message) when it is not an integer in [min, max].
+template <typename T>
+bool int_option(const ParsedArgs& a, const char* key, long min, long max,
+                T* out, std::ostream& err) {
+  auto it = a.options.find(key);
+  if (it == a.options.end()) return true;
+  auto v = parse_int(it->second);
+  if (!v || *v < min || *v > max) {
+    err << "bad " << key << " value\n";
+    return false;
+  }
+  *out = static_cast<T>(*v);
+  return true;
+}
+
 /// Turns the process-wide instrumentation on for the duration of a
 /// command when any of --trace / --metrics / --stats-json was given, and
 /// restores the previous (off) state afterwards so in-process callers
@@ -164,21 +183,21 @@ class ObsSession {
     return true;
   }
 
-  /// The global per-phase report, '#'-prefixed for the text front-ends.
-  static std::string report_lines() {
-    std::istringstream is(obs::MetricsRegistry::global().report_text());
-    std::ostringstream os;
-    std::string line;
-    while (std::getline(is, line)) os << "# " << line << "\n";
-    return os.str();
-  }
-
  private:
   bool want_trace_ = false;
   bool want_metrics_ = false;
   bool active_ = false;
   std::string trace_path_;
 };
+
+/// A registry's text report, '#'-prefixed for the text front-ends.
+std::string report_lines(const obs::MetricsRegistry& registry) {
+  std::istringstream is(registry.report_text());
+  std::ostringstream os;
+  std::string line;
+  while (std::getline(is, line)) os << "# " << line << "\n";
+  return os.str();
+}
 
 /// base/problem_io with this file's ostream error convention.
 std::optional<Problem> load_problem(const std::string& path,
@@ -268,17 +287,9 @@ int cmd_encode(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
                          ? a.options.at("--algorithm")
                          : "picola";
   int bits = 0;
-  if (a.options.count("--bits")) {
-    auto v = parse_int(a.options.at("--bits"));
-    if (!v || *v < 0) { err << "bad --bits value\n"; return 2; }
-    bits = *v;
-  }
+  if (!int_option(a, "--bits", 0, INT_MAX, &bits, err)) return 2;
   uint64_t seed = 1;
-  if (a.options.count("--seed")) {
-    auto v = parse_int(a.options.at("--seed"));
-    if (!v || *v < 0) { err << "bad --seed value\n"; return 2; }
-    seed = static_cast<uint64_t>(*v);
-  }
+  if (!int_option(a, "--seed", 0, INT_MAX, &seed, err)) return 2;
   const bool stats_json = a.options.count("--stats-json") != 0;
 
   // --backend routes through the portfolio front-end (src/portfolio)
@@ -296,11 +307,7 @@ int cmd_encode(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
     portfolio::PortfolioOptions popt;
     if (!parse_portfolio_args(a, &popt, err)) return 2;
     int restarts = 4;
-    if (a.options.count("--restarts")) {
-      auto v = parse_int(a.options.at("--restarts"));
-      if (!v || *v < 1) { err << "bad --restarts value\n"; return 2; }
-      restarts = *v;
-    }
+    if (!int_option(a, "--restarts", 1, INT_MAX, &restarts, err)) return 2;
     PicolaOptions po;
     po.num_bits = bits;
     po.self_check = a.options.count("--self-check") != 0;
@@ -327,7 +334,8 @@ int cmd_encode(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
         << problem->set.size() << " constraints, " << q.satisfied_dichotomies
         << "/" << q.total_dichotomies << " dichotomies, " << pr.total_cubes
         << " implementation cubes\n";
-    if (obs_session.metrics_wanted()) out << ObsSession::report_lines();
+    if (obs_session.metrics_wanted())
+      out << report_lines(obs::MetricsRegistry::global());
     if (!obs_session.write_trace(err)) return 1;
     return 0;
   }
@@ -360,7 +368,8 @@ int cmd_encode(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
       << q.total_dichotomies << " dichotomies, " << ev.total_cubes
       << " implementation cubes\n";
   if (stats_json) out << picola_stats_json(stats) << "\n";
-  if (obs_session.metrics_wanted()) out << ObsSession::report_lines();
+  if (obs_session.metrics_wanted())
+    out << report_lines(obs::MetricsRegistry::global());
   if (!obs_session.write_trace(err)) return 1;
   return 0;
 }
@@ -481,11 +490,7 @@ int cmd_encode_input(const ParsedArgs& a, std::ostream& out,
     return 1;
   }
   int var = r.pla.num_binary;
-  if (a.options.count("--var")) {
-    auto v = parse_int(a.options.at("--var"));
-    if (!v) { err << "bad --var value\n"; return 2; }
-    var = *v;
-  }
+  if (!int_option(a, "--var", INT_MIN, INT_MAX, &var, err)) return 2;
   if (var < r.pla.num_binary || var >= r.pla.num_vars()) {
     err << "--var must name a multi-valued variable ("
         << r.pla.num_binary << ".." << r.pla.num_vars() - 1 << ")\n";
@@ -505,16 +510,8 @@ int cmd_encode_input(const ParsedArgs& a, std::ostream& out,
     err << "unknown encoder " << algo << "\n";
     return 2;
   }
-  if (a.options.count("--bits")) {
-    auto v = parse_int(a.options.at("--bits"));
-    if (!v || *v < 0) { err << "bad --bits value\n"; return 2; }
-    opt.num_bits = *v;
-  }
-  if (a.options.count("--seed")) {
-    auto v = parse_int(a.options.at("--seed"));
-    if (!v || *v < 0) { err << "bad --seed value\n"; return 2; }
-    opt.seed = static_cast<uint64_t>(*v);
-  }
+  if (!int_option(a, "--bits", 0, INT_MAX, &opt.num_bits, err)) return 2;
+  if (!int_option(a, "--seed", 0, INT_MAX, &opt.seed, err)) return 2;
 
   InputEncodingResult res =
       encode_symbolic_input(r.pla.onset(), r.pla.dcset(), var, opt);
@@ -543,27 +540,14 @@ int cmd_encode_input(const ParsedArgs& a, std::ostream& out,
   return 0;
 }
 
+/// Strip the whitespace the request-line tokenizer skips, so a line it
+/// would read as empty is skipped as blank.
 std::string trim(const std::string& s) {
-  size_t b = s.find_first_not_of(" \t\r\n");
+  constexpr const char* kSpace = " \t\n\v\f\r";
+  size_t b = s.find_first_not_of(kSpace);
   if (b == std::string::npos) return "";
-  size_t e = s.find_last_not_of(" \t\r\n");
+  size_t e = s.find_last_not_of(kSpace);
   return s.substr(b, e - b + 1);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string r;
-  for (char c : s) {
-    if (c == '"' || c == '\\') r += '\\';
-    r += c;
-  }
-  return r;
-}
-
-std::string hex64(uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 /// Parses the backend-selection knobs shared by encode, batch, serve and
@@ -604,16 +588,10 @@ bool parse_portfolio_args(const ParsedArgs& a, portfolio::PortfolioOptions* p,
     }
     p->sat_sweep = *s;
   }
-  if (a.options.count("--sat-conflicts")) {
-    auto v = parse_int(a.options.at("--sat-conflicts"));
-    if (!v || *v < 0) { err << "bad --sat-conflicts value\n"; return false; }
-    p->sat_max_conflicts = *v;
-  }
-  if (a.options.count("--seed")) {
-    auto v = parse_int(a.options.at("--seed"));
-    if (!v || *v < 0) { err << "bad --seed value\n"; return false; }
-    p->anneal_seed = static_cast<uint64_t>(*v);
-  }
+  if (!int_option(a, "--sat-conflicts", 0, INT_MAX, &p->sat_max_conflicts,
+                  err))
+    return false;
+  if (!int_option(a, "--seed", 0, INT_MAX, &p->anneal_seed, err)) return false;
   return true;
 }
 
@@ -629,37 +607,22 @@ struct ServiceArgs {
 std::optional<ServiceArgs> parse_service_args(const ParsedArgs& a,
                                               std::ostream& err) {
   ServiceArgs s;
-  if (a.options.count("--jobs")) {
-    auto v = parse_int(a.options.at("--jobs"));
-    if (!v || *v < 1) { err << "bad --jobs value\n"; return std::nullopt; }
-    s.service.num_threads = *v;
-  }
-  if (a.options.count("--restarts")) {
-    auto v = parse_int(a.options.at("--restarts"));
-    if (!v || *v < 1) { err << "bad --restarts value\n"; return std::nullopt; }
-    s.restarts = *v;
-  }
-  if (a.options.count("--cache")) {
-    auto v = parse_int(a.options.at("--cache"));
-    if (!v || *v < 0) { err << "bad --cache value\n"; return std::nullopt; }
-    s.service.cache_capacity = static_cast<size_t>(*v);
-  }
-  if (a.options.count("--bits")) {
-    auto v = parse_int(a.options.at("--bits"));
-    if (!v || *v < 0) { err << "bad --bits value\n"; return std::nullopt; }
-    s.bits = *v;
-  }
+  if (!int_option(a, "--jobs", 1, INT_MAX, &s.service.num_threads, err))
+    return std::nullopt;
+  if (!int_option(a, "--restarts", 1, INT_MAX, &s.restarts, err))
+    return std::nullopt;
+  if (!int_option(a, "--cache", 0, INT_MAX, &s.service.cache_capacity, err))
+    return std::nullopt;
+  if (!int_option(a, "--bits", 0, INT_MAX, &s.bits, err)) return std::nullopt;
   s.self_check = a.options.count("--self-check") != 0;
   if (a.options.count("--cache-dir"))
     s.service.cache_dir = a.options.at("--cache-dir");
-  if (a.options.count("--snapshot-interval")) {
-    auto v = parse_int(a.options.at("--snapshot-interval"));
-    if (!v) { err << "bad --snapshot-interval value\n"; return std::nullopt; }
-    s.service.snapshot_interval_s = *v;
-    if (s.service.cache_dir.empty()) {
-      err << "--snapshot-interval needs --cache-dir\n";
-      return std::nullopt;
-    }
+  if (!int_option(a, "--snapshot-interval", INT_MIN, INT_MAX,
+                  &s.service.snapshot_interval_s, err))
+    return std::nullopt;
+  if (a.options.count("--snapshot-interval") && s.service.cache_dir.empty()) {
+    err << "--snapshot-interval needs --cache-dir\n";
+    return std::nullopt;
   }
   if (!parse_portfolio_args(a, &s.portfolio, err)) return std::nullopt;
   return s;
@@ -676,20 +639,6 @@ std::unique_ptr<EncodingService> make_service(const ServiceOptions& o,
     err << e.what() << "\n";
     return nullptr;
   }
-}
-
-/// The deterministic per-file summary (identical for every --jobs value):
-/// encoding content hash, code length, implementation cubes, satisfied
-/// constraints.  Wall times and cache behaviour go to the '#' lines.
-std::string file_summary(const ConstraintSet& set, const JobResult& r) {
-  EncodingQuality q = encoding_quality(set, r.picola.encoding);
-  std::ostringstream os;
-  os << "n=" << set.num_symbols << " bits=" << r.picola.encoding.num_bits
-     << " cubes=" << r.total_cubes << " satisfied="
-     << q.satisfied_constraints << "/" << set.size() << " enc="
-     << hex64(encoding_fingerprint(r.picola.encoding)) << " backend="
-     << portfolio::backend_kind_name(r.backend);
-  return os.str();
 }
 
 int cmd_batch(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
@@ -717,12 +666,7 @@ int cmd_batch(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
     if (line.empty() || line[0] == '#') continue;
     Item item;
     item.path = line;
-    std::ostringstream lerr;
-    auto p = load_problem(line, lerr);
-    if (p)
-      item.problem = std::move(*p);
-    else
-      item.error = trim(lerr.str());
+    item.problem = load_problem_file(line, &item.error);
     items.push_back(std::move(item));
   }
   if (items.empty()) {
@@ -747,44 +691,44 @@ int cmd_batch(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
     item.future = service.submit(std::move(job));
   }
 
+  // The per-file lines and --json entries contain only deterministic
+  // fields (identical for every --jobs value); wall times and cache
+  // behaviour go to the '#' lines.
   bool any_error = false;
   long total_cubes = 0;
   int solved = 0;
-  std::ostringstream files_json;
+  net::JsonValue files = net::JsonValue::make_array();
+  auto report_error = [&](const std::string& path, const std::string& error) {
+    any_error = true;
+    if (!json) {
+      out << path << " error: " << error << "\n";
+      return;
+    }
+    net::JsonValue f = net::JsonValue::make_object();
+    f.set("path", net::JsonValue::make_string(path));
+    f.set("error", net::JsonValue::make_string(error));
+    files.push_back(std::move(f));
+  };
   for (Item& item : items) {
     if (!item.problem) {
-      any_error = true;
-      if (json)
-        files_json << "{\"path\":\"" << json_escape(item.path)
-                   << "\",\"error\":\"" << json_escape(item.error) << "\"},";
-      else
-        out << item.path << " error: " << item.error << "\n";
+      report_error(item.path, item.error);
       continue;
     }
-    JobResult r;
+    net::Reply reply;
     try {
-      r = item.future.get();
+      reply = net::Reply::from_result(item.problem->set, item.future.get());
     } catch (const std::exception& e) {
-      any_error = true;
-      if (!json) out << item.path << " error: " << e.what() << "\n";
+      report_error(item.path, e.what());
       continue;
     }
-    total_cubes += r.total_cubes;
+    total_cubes += reply.cubes;
     ++solved;
-    const ConstraintSet& set = item.problem->set;
     if (json) {
-      EncodingQuality q = encoding_quality(set, r.picola.encoding);
-      files_json << "{\"path\":\"" << json_escape(item.path) << "\",\"n\":"
-                 << set.num_symbols << ",\"bits\":"
-                 << r.picola.encoding.num_bits << ",\"cubes\":"
-                 << r.total_cubes << ",\"satisfied\":"
-                 << q.satisfied_constraints << ",\"constraints\":"
-                 << set.size() << ",\"enc\":\""
-                 << hex64(encoding_fingerprint(r.picola.encoding))
-                 << "\",\"backend\":\""
-                 << portfolio::backend_kind_name(r.backend) << "\"},";
+      net::JsonValue f = reply.fields_json();
+      f.set("path", net::JsonValue::make_string(item.path));
+      files.push_back(std::move(f));
     } else {
-      out << item.path << " " << file_summary(set, r) << "\n";
+      out << item.path << " " << reply.summary() << "\n";
     }
   }
   service.wait_all();
@@ -792,9 +736,7 @@ int cmd_batch(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
   ServiceStats stats = service.stats();
 
   if (json) {
-    std::string files = files_json.str();
-    if (!files.empty()) files.pop_back();  // trailing comma
-    out << "{\"files\":[" << files << "],\"solved\":" << solved
+    out << "{\"files\":" << files.dump() << ",\"solved\":" << solved
         << ",\"total_cubes\":" << total_cubes << ",\"threads\":"
         << service.num_threads() << ",\"elapsed_ms\":" << ms
         << ",\"stats\":" << service_stats_json(stats);
@@ -810,11 +752,8 @@ int cmd_batch(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
     out << "# service: " << format_service_stats(stats) << "\n";
     if (obs_session.metrics_wanted()) {
       out << "# metrics (per-phase, process-wide):\n"
-          << ObsSession::report_lines();
-      std::istringstream is(service.metrics().report_text());
-      std::string line;
-      out << "# metrics (this service):\n";
-      while (std::getline(is, line)) out << "# " << line << "\n";
+          << report_lines(obs::MetricsRegistry::global())
+          << "# metrics (this service):\n" << report_lines(service.metrics());
     }
   }
   if (!obs_session.write_trace(err)) return 1;
@@ -829,16 +768,6 @@ extern "C" void picola_serve_signal_handler(int) {
   if (s) s->request_shutdown();  // async-signal-safe by contract
 }
 
-std::optional<int> parse_int_option(const ParsedArgs& a, const char* key,
-                                    long min, long max, std::ostream& err) {
-  auto v = parse_int(a.options.at(key));
-  if (!v || *v < min || *v > max) {
-    err << "bad " << key << " value\n";
-    return std::nullopt;
-  }
-  return static_cast<int>(*v);
-}
-
 int cmd_serve_tcp(const ParsedArgs& a, const ServiceArgs& sa,
                   std::ostream& out, std::ostream& err) {
   net::ServerOptions o;
@@ -847,43 +776,22 @@ int cmd_serve_tcp(const ParsedArgs& a, const ServiceArgs& sa,
   o.default_bits = sa.bits;
   o.default_portfolio = sa.portfolio;
   o.self_check = sa.self_check;
-  {
-    auto v = parse_int_option(a, "--tcp", 0, 65535, err);
-    if (!v) return 2;
-    o.port = static_cast<uint16_t>(*v);
-  }
+  if (!int_option(a, "--tcp", 0, 65535, &o.port, err)) return 2;
   if (a.options.count("--bind")) o.bind_address = a.options.at("--bind");
-  if (a.options.count("--max-inflight")) {
-    auto v = parse_int_option(a, "--max-inflight", 1, 1 << 20, err);
-    if (!v) return 2;
-    o.max_inflight = *v;
-  }
-  if (a.options.count("--idle-timeout-ms")) {
-    auto v = parse_int_option(a, "--idle-timeout-ms", 0, 86'400'000, err);
-    if (!v) return 2;
-    o.idle_timeout_ms = *v;
-  }
-  if (a.options.count("--max-frame-bytes")) {
-    auto v = parse_int_option(a, "--max-frame-bytes", 64,
-                              static_cast<long>(net::kFrameAbsoluteMax), err);
-    if (!v) return 2;
-    o.max_frame_bytes = static_cast<size_t>(*v);
-  }
-  if (a.options.count("--retry-after-ms")) {
-    auto v = parse_int_option(a, "--retry-after-ms", 0, 60'000, err);
-    if (!v) return 2;
-    o.retry_after_ms = *v;
-  }
-  if (a.options.count("--admin-port")) {
-    auto v = parse_int_option(a, "--admin-port", 0, 65535, err);
-    if (!v) return 2;
-    o.admin_port = *v;
-  }
-  if (a.options.count("--slow-ms")) {
-    auto v = parse_int_option(a, "--slow-ms", 0, 86'400'000, err);
-    if (!v) return 2;
-    o.slow_request_ms = *v;
-  }
+  if (!int_option(a, "--max-inflight", 1, 1 << 20, &o.max_inflight, err))
+    return 2;
+  if (!int_option(a, "--idle-timeout-ms", 0, 86'400'000,
+                  &o.idle_timeout_ms, err))
+    return 2;
+  if (!int_option(a, "--max-frame-bytes", 64,
+                  static_cast<long>(net::kFrameAbsoluteMax),
+                  &o.max_frame_bytes, err))
+    return 2;
+  if (!int_option(a, "--retry-after-ms", 0, 60'000, &o.retry_after_ms, err))
+    return 2;
+  if (!int_option(a, "--admin-port", 0, 65535, &o.admin_port, err)) return 2;
+  if (!int_option(a, "--slow-ms", 0, 86'400'000, &o.slow_request_ms, err))
+    return 2;
   o.use_poll = a.options.count("--poll") != 0;
   o.allow_paths = a.options.count("--no-paths") == 0;
   if (a.options.count("--peers")) {
@@ -905,11 +813,9 @@ int cmd_serve_tcp(const ParsedArgs& a, const ServiceArgs& sa,
       return 2;
     }
     o.peer_forward = a.options.count("--no-peer-forward") == 0;
-    if (a.options.count("--peer-timeout-ms")) {
-      auto v = parse_int_option(a, "--peer-timeout-ms", 1, 60'000, err);
-      if (!v) return 2;
-      o.peer_timeout_ms = *v;
-    }
+    if (!int_option(a, "--peer-timeout-ms", 1, 60'000, &o.peer_timeout_ms,
+                    err))
+      return 2;
   }
 
   ObsSession obs_session(a);
@@ -956,24 +862,154 @@ int cmd_serve_tcp(const ParsedArgs& a, const ServiceArgs& sa,
   out << "# service: " << format_service_stats(server->service().stats())
       << "\n";
   if (obs_session.metrics_wanted()) {
-    std::istringstream is(server->metrics().report_text());
-    std::string line;
-    out << "# metrics (net):\n";
-    while (std::getline(is, line)) out << "# " << line << "\n";
-    std::istringstream is2(server->service().metrics().report_text());
-    out << "# metrics (service):\n";
-    while (std::getline(is2, line)) out << "# " << line << "\n";
+    out << "# metrics (net):\n" << report_lines(server->metrics())
+        << "# metrics (service):\n"
+        << report_lines(server->service().metrics());
   }
   if (!obs_session.write_trace(err)) return 1;
   return 0;
 }
 
-/// `picola client --cluster a:p1,b:p2[,...]` — same stdin protocol as the
-/// single-backend client, but routed through the consistent-hash cluster
-/// router (net/cluster.h, docs/CLUSTER.md): each problem is read and
-/// parsed locally, placed on the ring by its route_key, and sent inline
-/// with failover / hedging / breaker handling.  The trailing `# cluster:`
-/// line reports reroutes, hedges and suppressed duplicates.
+/// How `client` and `client --cluster` turn a request line into a
+/// request.
+struct ClientPlan {
+  bool send_inline = false;  ///< read the file here and send its text
+  bool route = false;        ///< also parse it here, for its ring key
+  bool allow_shutdown = true;
+  int deadline_ms = 0;
+  std::optional<portfolio::BackendKind> backend;  ///< --backend default
+};
+
+/// One round trip; nullopt (and *error) once the transport gave up.
+using CallFn = std::function<std::optional<net::JsonValue>(
+    const net::JsonValue& request, uint64_t route_key, std::string* error)>;
+
+/// The request loop of both clients.  Stdin lines mirror the stdin
+/// `serve` protocol: a request line, or `stats` / `metrics` / `ping` /
+/// `shutdown` / `quit`.  Encode answers are printed as the same `ok` and
+/// `error` lines `serve` prints; command replies as their JSON.  Returns
+/// the number of failed requests, or -1 once the transport gave up.
+int client_loop(const ClientPlan& plan, const CallFn& call, std::istream& in,
+                std::ostream& out, std::ostream& err) {
+  int failures = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    line = trim(line);
+    if (line.empty() || line[0] == '#') continue;
+    if (line == "quit" || line == "exit") break;
+
+    net::JsonValue req;
+    uint64_t key = 0;
+    const bool is_cmd = line == "stats" || line == "metrics" ||
+                        line == "ping" || line == "shutdown";
+    net::RequestLine rl;
+    if (line == "shutdown" && !plan.allow_shutdown) {
+      err << "shutdown is per-node; aim `picola client host:port` at the "
+             "node you want drained\n";
+      ++failures;
+      continue;
+    }
+    if (is_cmd) {
+      req = net::JsonValue::make_object();
+      req.set("cmd", net::JsonValue::make_string(line));
+    } else {
+      rl = net::parse_request_line(line);
+      if (!rl.error.empty()) {
+        out << net::error_line(rl.path, rl.error) << "\n";
+        ++failures;
+        continue;
+      }
+      net::EncodeRequest er;
+      er.id = net::JsonValue::make_string(rl.path);
+      if (rl.restarts > 0) er.restarts = rl.restarts;
+      er.backend = rl.backend ? rl.backend : plan.backend;
+      er.deadline_ms = plan.deadline_ms;
+      if (plan.send_inline) {
+        auto text = read_file(rl.path, err);
+        if (!text) { ++failures; continue; }
+        if (plan.route) {
+          // Parsing here also catches a bad problem before it costs a
+          // network round trip.
+          std::string parse_error;
+          auto problem = parse_problem_text(*text, &parse_error);
+          if (!problem) {
+            out << net::error_line(rl.path, parse_error) << "\n";
+            ++failures;
+            continue;
+          }
+          key = route_key(problem->set);
+        }
+        er.con = std::move(*text);
+      } else {
+        er.path = rl.path;
+      }
+      req = er.to_json();
+    }
+
+    std::string error;
+    auto resp = call(req, key, &error);
+    if (!resp) {
+      err << error << "\n";
+      return -1;
+    }
+    if (is_cmd) {
+      out << resp->dump() << "\n";
+      out.flush();
+      if (line == "shutdown") break;
+      continue;
+    }
+    if (const net::JsonValue* e = resp->find("error")) {
+      const net::JsonValue* detail = resp->find("detail");
+      out << net::error_line(rl.path, detail && detail->is_string()
+                                          ? detail->as_string()
+                                          : e->as_string())
+          << "\n";
+      ++failures;
+    } else if (auto reply = net::Reply::from_json(*resp)) {
+      out << reply->ok_line(rl.path) << "\n";
+    } else {
+      out << net::error_line(rl.path, "malformed reply") << "\n";
+      ++failures;
+    }
+    out.flush();
+  }
+  return failures;
+}
+
+/// --timeout-ms T bounds both connecting and each frame's I/O.
+bool client_timeout_option(const ParsedArgs& a, net::ClientOptions* copt,
+                           std::ostream& err) {
+  if (!int_option(a, "--timeout-ms", 1, 86'400'000, &copt->io_timeout_ms,
+                  err))
+    return false;
+  if (a.options.count("--timeout-ms"))
+    copt->connect_timeout_ms = copt->io_timeout_ms;
+  return true;
+}
+
+/// The --backend and --deadline-ms defaults both clients attach to every
+/// encode request.
+bool parse_client_plan(const ParsedArgs& a, ClientPlan* plan,
+                       std::ostream& err) {
+  if (!int_option(a, "--deadline-ms", 1, 86'400'000, &plan->deadline_ms, err))
+    return false;
+  if (a.options.count("--backend")) {
+    plan->backend = portfolio::parse_backend_kind(a.options.at("--backend"));
+    if (!plan->backend) {
+      err << "bad --backend value (picola sat anneal portfolio)\n";
+      return false;
+    }
+  }
+  return true;
+}
+
+/// `picola client --cluster a:p1,b:p2[,...]` — the client's request loop
+/// routed through the consistent-hash cluster router (net/cluster.h,
+/// docs/CLUSTER.md): each problem is read and parsed locally, placed on
+/// the ring by its route_key, and sent inline with failover / hedging /
+/// breaker handling.  `shutdown` is refused (it is per-node).  The
+/// trailing `# cluster:` line reports reroutes, hedges and suppressed
+/// duplicates.
 int cmd_client_cluster(const ParsedArgs& a, std::istream& in,
                        std::ostream& out, std::ostream& err) {
   if (!a.positional.empty()) {
@@ -988,137 +1024,24 @@ int cmd_client_cluster(const ParsedArgs& a, std::istream& in,
     err << "bad --cluster: " << perr << "\n";
     return 2;
   }
-  if (a.options.count("--timeout-ms")) {
-    auto v = parse_int_option(a, "--timeout-ms", 1, 86'400'000, err);
-    if (!v) return 2;
-    copt.client.io_timeout_ms = *v;
-    copt.client.connect_timeout_ms = *v;
-  }
-  if (a.options.count("--hedge-ms")) {
-    auto v = parse_int_option(a, "--hedge-ms", 0, 86'400'000, err);
-    if (!v) return 2;
-    copt.hedge_ms = *v;
-  }
-  if (a.options.count("--seed")) {
-    auto v = parse_int_option(a, "--seed", 0, 1'000'000'000, err);
-    if (!v) return 2;
-    copt.seed = static_cast<uint64_t>(*v);
-  }
-  int deadline_ms = 0;
-  if (a.options.count("--deadline-ms")) {
-    auto v = parse_int_option(a, "--deadline-ms", 1, 86'400'000, err);
-    if (!v) return 2;
-    deadline_ms = *v;
-  }
-  std::string default_backend;
-  if (a.options.count("--backend")) {
-    if (!portfolio::parse_backend_kind(a.options.at("--backend"))) {
-      err << "bad --backend value (picola sat anneal portfolio)\n";
-      return 2;
-    }
-    default_backend = a.options.at("--backend");
-  }
+  if (!client_timeout_option(a, &copt.client, err)) return 2;
+  if (!int_option(a, "--hedge-ms", 0, 86'400'000, &copt.hedge_ms, err))
+    return 2;
+  if (!int_option(a, "--seed", 0, 1'000'000'000, &copt.seed, err)) return 2;
+  ClientPlan plan;
+  if (!parse_client_plan(a, &plan, err)) return 2;
+  plan.send_inline = true;  // the router must see the constraints
+  plan.route = true;
+  plan.allow_shutdown = false;
 
   net::ClusterClient cluster(copt);
-  int failures = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    line = trim(line);
-    if (line.empty() || line[0] == '#') continue;
-    if (line == "quit" || line == "exit") break;
-
-    net::JsonValue req = net::JsonValue::make_object();
-    uint64_t key = 0;
-    bool is_cmd = false;
-    std::string path;
-    if (line == "stats" || line == "metrics" || line == "ping") {
-      req.set("cmd", net::JsonValue::make_string(line));
-      is_cmd = true;
-    } else if (line == "shutdown") {
-      err << "shutdown is per-node; aim `picola client host:port` at the "
-             "node you want drained\n";
-      ++failures;
-      continue;
-    } else {
-      std::istringstream ls(line);
-      std::string tok;
-      ls >> path;
-      int restarts = 0;
-      std::string backend = default_backend;
-      bool bad = false;
-      while (ls >> tok) {
-        if (tok == "--restarts" && (ls >> tok)) {
-          auto v = parse_int(tok);
-          if (v && *v >= 1) { restarts = static_cast<int>(*v); continue; }
-        } else if (tok == "--backend" && (ls >> tok)) {
-          if (portfolio::parse_backend_kind(tok)) { backend = tok; continue; }
-        }
-        bad = true;
-        break;
-      }
-      if (bad) {
-        out << "error " << path << ": bad request options\n";
-        ++failures;
-        continue;
-      }
-      // The router must see the constraints to place the job, so cluster
-      // requests always travel inline — the same parse also catches bad
-      // problems before they burn a network round trip.
-      auto text = read_file(path, err);
-      if (!text) { ++failures; continue; }
-      std::string parse_error;
-      auto problem = parse_problem_text(*text, &parse_error);
-      if (!problem) {
-        out << "error " << path << ": " << parse_error << "\n";
-        ++failures;
-        continue;
-      }
-      key = route_key(problem->set);
-      req.set("con", net::JsonValue::make_string(*text));
-      req.set("id", net::JsonValue::make_string(path));
-      if (restarts > 0)
-        req.set("restarts", net::JsonValue::make_int(restarts));
-      if (!backend.empty())
-        req.set("backend", net::JsonValue::make_string(backend));
-      if (deadline_ms > 0)
-        req.set("deadline_ms", net::JsonValue::make_int(deadline_ms));
-    }
-
-    std::string error;
-    auto resp = cluster.call(req, key, &error);
-    if (!resp) {
-      err << error << "\n";
-      return 1;
-    }
-    if (is_cmd) {
-      out << resp->dump() << "\n";
-      out.flush();
-      continue;
-    }
-    if (const net::JsonValue* e = resp->find("error")) {
-      const net::JsonValue* detail = resp->find("detail");
-      out << "error " << path << ": "
-          << (detail && detail->is_string() ? detail->as_string()
-                                            : e->as_string())
-          << "\n";
-      ++failures;
-    } else {
-      auto num = [&resp](const char* k) -> int64_t {
-        const net::JsonValue* v = resp->find(k);
-        return v && v->is_number() ? v->as_int() : 0;
-      };
-      const net::JsonValue* enc = resp->find("enc");
-      const net::JsonValue* be = resp->find("backend");
-      out << "ok " << path << " n=" << num("n") << " bits=" << num("bits")
-          << " cubes=" << num("cubes") << " satisfied=" << num("satisfied")
-          << "/" << num("constraints") << " enc="
-          << (enc && enc->is_string() ? enc->as_string() : "?")
-          << " backend="
-          << (be && be->is_string() ? be->as_string() : "picola")
-          << " cached=" << num("cached") << "\n";
-    }
-    out.flush();
-  }
+  int failures = client_loop(
+      plan,
+      [&cluster](const net::JsonValue& req, uint64_t key, std::string* error) {
+        return cluster.call(req, key, error);
+      },
+      in, out, err);
+  if (failures < 0) return 1;
   net::ClusterClient::Stats cs = cluster.stats();
   out << "# cluster: requests=" << cs.requests << " attempts=" << cs.attempts
       << " reroutes=" << cs.reroutes << " hedges=" << cs.hedges
@@ -1129,11 +1052,10 @@ int cmd_client_cluster(const ParsedArgs& a, std::istream& in,
   return failures == 0 ? 0 : 1;
 }
 
-/// `picola client host:port` — interactive/scripted front-end to the TCP
-/// server.  Stdin lines mirror the stdin `serve` protocol: a path (plus
-/// optional `--restarts R`), or `stats` / `metrics` / `ping` /
-/// `shutdown` / `quit`.  Output for encode requests is byte-compatible
-/// with stdin serve's `ok <path> ...` lines.
+/// `picola client host:port` — the request loop over one connection
+/// (with --retries / --timeout-ms resilience).  Requests name the file
+/// by `path` unless --inline sends its text.  Output for encode requests
+/// is byte-compatible with stdin serve's `ok <path> ...` lines.
 int cmd_client(const ParsedArgs& a, std::istream& in, std::ostream& out,
                std::ostream& err) {
   if (a.options.count("--cluster")) return cmd_client_cluster(a, in, out, err);
@@ -1152,34 +1074,13 @@ int cmd_client(const ParsedArgs& a, std::istream& in, std::ostream& out,
     err << "bad port in " << hp << "\n";
     return 2;
   }
-  int deadline_ms = 0;
-  if (a.options.count("--deadline-ms")) {
-    auto v = parse_int_option(a, "--deadline-ms", 1, 86'400'000, err);
-    if (!v) return 2;
-    deadline_ms = *v;
-  }
-  const bool send_inline = a.options.count("--inline") != 0;
-  std::string default_backend;
-  if (a.options.count("--backend")) {
-    if (!portfolio::parse_backend_kind(a.options.at("--backend"))) {
-      err << "bad --backend value (picola sat anneal portfolio)\n";
-      return 2;
-    }
-    default_backend = a.options.at("--backend");
-  }
+  ClientPlan plan;
+  if (!parse_client_plan(a, &plan, err)) return 2;
+  plan.send_inline = a.options.count("--inline") != 0;
 
   net::ClientOptions copt;
-  if (a.options.count("--retries")) {
-    auto v = parse_int_option(a, "--retries", 0, 1000, err);
-    if (!v) return 2;
-    copt.max_retries = *v;
-  }
-  if (a.options.count("--timeout-ms")) {
-    auto v = parse_int_option(a, "--timeout-ms", 1, 86'400'000, err);
-    if (!v) return 2;
-    copt.io_timeout_ms = *v;
-    copt.connect_timeout_ms = *v;
-  }
+  if (!int_option(a, "--retries", 0, 1000, &copt.max_retries, err)) return 2;
+  if (!client_timeout_option(a, &copt, err)) return 2;
 
   // --trace <file>: collect client-side spans and attach generated
   // trace_id / parent_span fields so the server's spans correlate with
@@ -1194,94 +1095,13 @@ int cmd_client(const ParsedArgs& a, std::istream& in, std::ostream& out,
     err << error << "\n";
     return 1;
   }
-
-  int failures = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    line = trim(line);
-    if (line.empty() || line[0] == '#') continue;
-    if (line == "quit" || line == "exit") break;
-
-    net::JsonValue req = net::JsonValue::make_object();
-    bool is_cmd = false;
-    std::string path;
-    if (line == "stats" || line == "metrics" || line == "ping" ||
-        line == "shutdown") {
-      req.set("cmd", net::JsonValue::make_string(line));
-      is_cmd = true;
-    } else {
-      std::istringstream ls(line);
-      std::string tok;
-      ls >> path;
-      int restarts = 0;
-      std::string backend = default_backend;
-      bool bad = false;
-      while (ls >> tok) {
-        if (tok == "--restarts" && (ls >> tok)) {
-          auto v = parse_int(tok);
-          if (v && *v >= 1) { restarts = static_cast<int>(*v); continue; }
-        } else if (tok == "--backend" && (ls >> tok)) {
-          if (portfolio::parse_backend_kind(tok)) { backend = tok; continue; }
-        }
-        bad = true;
-        break;
-      }
-      if (bad) {
-        out << "error " << path << ": bad request options\n";
-        ++failures;
-        continue;
-      }
-      if (send_inline) {
-        auto text = read_file(path, err);
-        if (!text) { ++failures; continue; }
-        req.set("con", net::JsonValue::make_string(*text));
-      } else {
-        req.set("path", net::JsonValue::make_string(path));
-      }
-      req.set("id", net::JsonValue::make_string(path));
-      if (restarts > 0)
-        req.set("restarts", net::JsonValue::make_int(restarts));
-      if (!backend.empty())
-        req.set("backend", net::JsonValue::make_string(backend));
-      if (deadline_ms > 0)
-        req.set("deadline_ms", net::JsonValue::make_int(deadline_ms));
-    }
-
-    auto resp = client.call_with_retry(req, &error);
-    if (!resp) {
-      err << error << "\n";
-      return 1;
-    }
-    if (is_cmd) {
-      out << resp->dump() << "\n";
-      out.flush();
-      if (line == "shutdown") break;
-      continue;
-    }
-    if (const net::JsonValue* e = resp->find("error")) {
-      const net::JsonValue* detail = resp->find("detail");
-      out << "error " << path << ": "
-          << (detail && detail->is_string() ? detail->as_string()
-                                            : e->as_string())
-          << "\n";
-      ++failures;
-    } else {
-      auto num = [&resp](const char* k) -> int64_t {
-        const net::JsonValue* v = resp->find(k);
-        return v && v->is_number() ? v->as_int() : 0;
-      };
-      const net::JsonValue* enc = resp->find("enc");
-      const net::JsonValue* be = resp->find("backend");
-      out << "ok " << path << " n=" << num("n") << " bits=" << num("bits")
-          << " cubes=" << num("cubes") << " satisfied=" << num("satisfied")
-          << "/" << num("constraints") << " enc="
-          << (enc && enc->is_string() ? enc->as_string() : "?")
-          << " backend="
-          << (be && be->is_string() ? be->as_string() : "picola")
-          << " cached=" << num("cached") << "\n";
-    }
-    out.flush();
-  }
+  int failures = client_loop(
+      plan,
+      [&client](const net::JsonValue& req, uint64_t, std::string* error) {
+        return client.call_with_retry(req, error);
+      },
+      in, out, err);
+  if (failures < 0) return 1;
   if (!obs_session.write_trace(err)) return 1;
   return failures == 0 ? 0 : 1;
 }
@@ -1323,47 +1143,31 @@ int cmd_serve(const ParsedArgs& a, std::istream& in, std::ostream& out,
       continue;
     }
 
-    // Request: <path> [--restarts R] [--backend B]
-    std::istringstream ls(line);
-    std::string path, tok;
-    ls >> path;
-    int restarts = sa->restarts;
-    portfolio::PortfolioOptions pf = sa->portfolio;
-    bool bad = false;
-    while (ls >> tok) {
-      if (tok == "--restarts" && (ls >> tok)) {
-        auto v = parse_int(tok);
-        if (v && *v >= 1) { restarts = *v; continue; }
-      } else if (tok == "--backend" && (ls >> tok)) {
-        auto k = portfolio::parse_backend_kind(tok);
-        if (k) { pf.backend = *k; continue; }
-      }
-      bad = true;
-      break;
-    }
-    if (bad) {
-      out << "error " << path << ": bad request options\n";
+    net::RequestLine rl = net::parse_request_line(line);
+    if (!rl.error.empty()) {
+      out << net::error_line(rl.path, rl.error) << "\n";
       continue;
     }
-    std::ostringstream lerr;
-    auto problem = load_problem(path, lerr);
+    std::string error;
+    auto problem = load_problem_file(rl.path, &error);
     if (!problem) {
-      out << "error " << path << ": " << trim(lerr.str()) << "\n";
+      out << net::error_line(rl.path, error) << "\n";
       continue;
     }
     Job job;
     job.set = problem->set;
     job.options.num_bits = sa->bits;
     job.options.self_check = sa->self_check;
-    job.restarts = restarts;
-    job.portfolio = pf;
-    job.tag = path;
+    job.restarts = rl.restarts > 0 ? rl.restarts : sa->restarts;
+    job.portfolio = sa->portfolio;
+    if (rl.backend) job.portfolio.backend = *rl.backend;
+    job.tag = rl.path;
     try {
       JobResult r = service.submit(std::move(job)).get();
-      out << "ok " << path << " " << file_summary(problem->set, r)
-          << " cached=" << (r.cache_hit ? 1 : 0) << "\n";
+      out << net::Reply::from_result(problem->set, r).ok_line(rl.path)
+          << "\n";
     } catch (const std::exception& e) {
-      out << "error " << path << ": " << e.what() << "\n";
+      out << net::error_line(rl.path, e.what()) << "\n";
     }
     out.flush();
   }
@@ -1438,11 +1242,7 @@ int cmd_sat_export(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
   auto problem = load_problem(a.positional[0], err);
   if (!problem) return 1;
   int bits = Encoding::min_bits(problem->set.num_symbols);
-  if (a.options.count("--bits")) {
-    auto v = parse_int(a.options.at("--bits"));
-    if (!v || *v < 1) { err << "bad --bits value\n"; return 2; }
-    bits = static_cast<int>(*v);
-  }
+  if (!int_option(a, "--bits", 1, INT_MAX, &bits, err)) return 2;
   sat::ReductionOptions ro;
   if (a.options.count("--card")) {
     auto c = sat::parse_card_encoding(a.options.at("--card"));

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <thread>
 
+#include "net/protocol.h"
 #include "net/sys.h"
 #include "obs/tracer.h"
 
@@ -23,22 +24,6 @@ namespace {
 
 void set_error(std::string* error, const std::string& msg) {
   if (error) *error = msg;
-}
-
-/// 1-16 hex digits -> uint64 (wire trace_id field); false on junk.
-bool parse_hex64(const std::string& s, uint64_t* out) {
-  if (s.empty() || s.size() > 16) return false;
-  uint64_t v = 0;
-  for (char ch : s) {
-    int d;
-    if (ch >= '0' && ch <= '9') d = ch - '0';
-    else if (ch >= 'a' && ch <= 'f') d = ch - 'a' + 10;
-    else if (ch >= 'A' && ch <= 'F') d = ch - 'A' + 10;
-    else return false;
-    v = (v << 4) | static_cast<uint64_t>(d);
-  }
-  *out = v;
-  return true;
 }
 
 uint64_t splitmix64(uint64_t x) {

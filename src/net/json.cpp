@@ -1,5 +1,6 @@
 #include "net/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -347,7 +348,12 @@ JsonValue JsonValue::make_object() {
 
 int64_t JsonValue::as_int() const {
   if (type_ == Type::kInt) return int_;
-  if (type_ == Type::kDouble) return static_cast<int64_t>(double_);
+  if (type_ == Type::kDouble) {
+    // Saturate: casting a double outside int64's range is undefined.
+    constexpr double kLimit = 9.2e18;
+    if (std::isnan(double_)) return 0;
+    return static_cast<int64_t>(std::clamp(double_, -kLimit, kLimit));
+  }
   return 0;
 }
 

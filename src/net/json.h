@@ -43,7 +43,8 @@ class JsonValue {
   bool is_object() const { return type_ == Type::kObject; }
 
   bool as_bool() const { return bool_; }
-  /// Numeric value as int64 (doubles are truncated).
+  /// Numeric value as int64 (doubles are truncated and saturate at the
+  /// int64 range).
   int64_t as_int() const;
   double as_double() const;
   const std::string& as_string() const { return string_; }

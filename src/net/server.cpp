@@ -28,6 +28,7 @@
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/json.h"
+#include "net/protocol.h"
 #include "net/sys.h"
 #include "obs/build_info.h"
 #include "obs/export.h"
@@ -42,13 +43,6 @@ namespace {
 /// Flushing grace once drain has answered every job; a client that never
 /// reads its socket cannot park the shutdown forever.
 constexpr uint64_t kDrainFlushGraceNs = 5'000'000'000ULL;
-
-std::string hex64(uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 void set_nonblocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
@@ -84,22 +78,6 @@ bool hex_decode(const std::string& hex, std::string* out) {
     if (!val(hex[i], &hi) || !val(hex[i + 1], &lo)) return false;
     out->push_back(static_cast<char>((hi << 4) | lo));
   }
-  return true;
-}
-
-/// 1-16 hex digits -> uint64 (wire trace_id / parent_span fields).
-bool parse_hex64(const std::string& s, uint64_t* out) {
-  if (s.empty() || s.size() > 16) return false;
-  uint64_t v = 0;
-  for (char ch : s) {
-    int d;
-    if (ch >= '0' && ch <= '9') d = ch - '0';
-    else if (ch >= 'a' && ch <= 'f') d = ch - 'a' + 10;
-    else if (ch >= 'A' && ch <= 'F') d = ch - 'A' + 10;
-    else return false;
-    v = (v << 4) | static_cast<uint64_t>(d);
-  }
-  *out = v;
   return true;
 }
 
@@ -686,6 +664,10 @@ struct Server::Impl {
 
   void handle_frame(Conn* conn, const std::string& payload) {
     frames_in_.add(1);
+    // The request clock starts here, so deadline_ms, net/request and the
+    // slow log cover the JSON parse and the problem parse (for KISS2 the
+    // whole face-constraint derivation) too.
+    const uint64_t start_ns = obs::now_ns();
     std::string parse_error;
     auto parsed = JsonValue::parse(payload, &parse_error);
     if (!parsed || !parsed->is_object()) {
@@ -704,7 +686,7 @@ struct Server::Impl {
       handle_cmd(conn, id, cmd->as_string(), req);
       return;
     }
-    handle_encode(conn, std::move(id), req);
+    handle_encode(conn, std::move(id), req, start_ns);
   }
 
   void handle_cmd(Conn* conn, const JsonValue& id, const std::string& cmd,
@@ -773,7 +755,8 @@ struct Server::Impl {
     send_error(conn, id, "bad_request", "unknown cmd " + cmd);
   }
 
-  void handle_encode(Conn* conn, JsonValue id, const JsonValue& req) {
+  void handle_encode(Conn* conn, JsonValue id, const JsonValue& json,
+                     uint64_t start_ns) {
     if (draining_) {
       send_error(conn, id, "shutting_down", "server is draining");
       return;
@@ -791,80 +774,33 @@ struct Server::Impl {
       return;
     }
 
-    const JsonValue* con = req.find("con");
-    const JsonValue* path = req.find("path");
-    std::optional<Problem> problem;
     std::string error;
-    if (con && con->is_string()) {
-      problem = parse_problem_text(con->as_string(), &error);
-    } else if (path && path->is_string()) {
-      if (!opt_.allow_paths) {
-        send_error(conn, id, "paths_disabled",
-                   "server rejects path requests; send inline \"con\" text");
-        return;
-      }
-      problem = load_problem_file(path->as_string(), &error);
-    } else {
-      send_error(conn, id, "bad_request",
-                 "request needs a \"con\" or \"path\" string (or a \"cmd\")");
+    std::optional<EncodeRequest> req = EncodeRequest::from_json(json, &error);
+    if (!req) {
+      send_error(conn, id, "bad_request", error);
       return;
     }
+    if (!req->con && !opt_.allow_paths) {
+      send_error(conn, id, "paths_disabled",
+                 "server rejects path requests; send inline \"con\" text");
+      return;
+    }
+    std::optional<Problem> problem =
+        req->con ? parse_problem_text(*req->con, &error)
+                 : load_problem_file(*req->path, &error);
     if (!problem) {
       send_error(conn, id, "bad_problem", error);
       return;
     }
-
-    int restarts = opt_.default_restarts;
-    if (const JsonValue* r = req.find("restarts")) {
-      if (!r->is_number() || r->as_int() < 1 || r->as_int() > 1024) {
-        send_error(conn, id, "bad_request", "restarts must be in [1, 1024]");
-        return;
-      }
-      restarts = static_cast<int>(r->as_int());
-    }
-    int bits = opt_.default_bits;
-    if (const JsonValue* b = req.find("bits")) {
-      if (!b->is_number() || b->as_int() < 0 || b->as_int() > 31) {
-        send_error(conn, id, "bad_request", "bits must be in [0, 31]");
-        return;
-      }
-      bits = static_cast<int>(b->as_int());
-    }
-    portfolio::PortfolioOptions pf = opt_.default_portfolio;
-    if (const JsonValue* be = req.find("backend")) {
-      std::optional<portfolio::BackendKind> kind;
-      if (be->is_string()) kind = portfolio::parse_backend_kind(be->as_string());
-      if (!kind) {
-        send_error(conn, id, "bad_request",
-                   "backend must be picola, sat, anneal or portfolio");
-        return;
-      }
-      pf.backend = *kind;
-    }
-    int deadline_ms = 0;
-    if (const JsonValue* d = req.find("deadline_ms")) {
-      if (!d->is_number() || d->as_int() < 1 || d->as_int() > 86'400'000) {
-        send_error(conn, id, "bad_request",
-                   "deadline_ms must be in [1, 86400000]");
-        return;
-      }
-      deadline_ms = static_cast<int>(d->as_int());
-    }
-    uint64_t trace_id = 0;
-    if (const JsonValue* t = req.find("trace_id")) {
-      if (!t->is_string() || !parse_hex64(t->as_string(), &trace_id)) {
-        send_error(conn, id, "bad_request",
-                   "trace_id must be 1-16 hex digits");
-        return;
-      }
-    }
-    uint64_t parent_span = 0;
-    if (const JsonValue* p = req.find("parent_span")) {
-      if (!p->is_string() || !parse_hex64(p->as_string(), &parent_span)) {
-        send_error(conn, id, "bad_request",
-                   "parent_span must be 1-16 hex digits");
-        return;
-      }
+    const uint64_t deadline_ns =
+        req->deadline_ms > 0
+            ? start_ns + static_cast<uint64_t>(req->deadline_ms) * 1'000'000
+            : 0;
+    if (deadline_ns && obs::now_ns() >= deadline_ns) {
+      // Parsing alone used up the deadline: answer now, submit nothing.
+      deadline_misses_.add(1);
+      send_deadline_exceeded(conn, id, req->deadline_ms);
+      return;
     }
 
     Request r;
@@ -874,23 +810,22 @@ struct Server::Impl {
     r.id = std::move(id);
     r.set = problem->set;
     r.cancel = std::make_shared<CancelToken>();
-    r.start_ns = obs::now_ns();
-    r.deadline_ms = deadline_ms;
-    r.trace_id = trace_id;
-    r.parent_span = parent_span;
-    if (deadline_ms > 0)
-      r.deadline_ns =
-          r.start_ns + static_cast<uint64_t>(deadline_ms) * 1'000'000;
+    r.start_ns = start_ns;
+    r.deadline_ns = deadline_ns;
+    r.deadline_ms = req->deadline_ms;
+    r.trace_id = req->trace_id;
+    r.parent_span = req->parent_span;
 
     Job job;
     job.set = std::move(problem->set);
-    job.options.num_bits = bits;
+    job.options.num_bits = req->bits.value_or(opt_.default_bits);
     job.options.self_check = opt_.self_check;
     job.options.cancel = r.cancel;
-    job.portfolio = pf;
-    job.restarts = restarts;
-    job.tag = path && path->is_string() ? path->as_string() : "<inline>";
-    job.trace_id = trace_id;
+    job.portfolio = opt_.default_portfolio;
+    if (req->backend) job.portfolio.backend = *req->backend;
+    job.restarts = req->restarts.value_or(opt_.default_restarts);
+    job.tag = req->path.value_or("<inline>");
+    job.trace_id = req->trace_id;
 
     const uint64_t serial = r.serial;
     if (r.deadline_ns) deadlines_.emplace(r.deadline_ns, serial);
@@ -1105,23 +1040,10 @@ struct Server::Impl {
 
     try {
       const JobResult r = fut.get();
-      const Encoding& enc = r.picola.encoding;
-      EncodingQuality q = encoding_quality(req.set, enc);
-      JsonValue resp = ok_response(req.id);
-      resp.set("n", JsonValue::make_int(enc.num_symbols));
-      resp.set("bits", JsonValue::make_int(enc.num_bits));
-      resp.set("cubes", JsonValue::make_int(r.total_cubes));
-      resp.set("satisfied", JsonValue::make_int(q.satisfied_constraints));
-      resp.set("constraints",
-               JsonValue::make_int(static_cast<int64_t>(req.set.size())));
-      resp.set("enc", JsonValue::make_string(hex64(encoding_fingerprint(enc))));
-      resp.set("backend", JsonValue::make_string(
-                              portfolio::backend_kind_name(r.backend)));
-      resp.set("cached", JsonValue::make_int(r.cache_hit ? 1 : 0));
-      resp.set("wall_ms", JsonValue::make_double(r.wall_ms));
-      if (req.trace_id)
-        resp.set("trace_id",
-                 JsonValue::make_string(obs::trace_id_hex(req.trace_id)));
+      Reply reply = Reply::from_result(req.set, r);
+      reply.trace_id = req.trace_id;
+      JsonValue resp = reply.to_json();
+      if (!req.id.is_null()) resp.set("id", req.id);
       send_json(conn, resp.dump());
       responses_ok_.add(1);
       maybe_slow_log(req, wall_ns, &r, nullptr);
@@ -1188,14 +1110,8 @@ struct Server::Impl {
       req.cancel->cancel();  // unwind the restarts at their next column
       deadline_misses_.add(1);
       auto cit = conns_.find(req.conn_fd);
-      if (cit != conns_.end() && cit->second->serial == req.conn_serial) {
-        JsonValue r = JsonValue::make_object();
-        if (!req.id.is_null()) r.set("id", req.id);
-        r.set("error", JsonValue::make_string("deadline_exceeded"));
-        r.set("deadline_ms", JsonValue::make_int(req.deadline_ms));
-        send_json(cit->second.get(), r.dump());
-        responses_error_.add(1);
-      }
+      if (cit != conns_.end() && cit->second->serial == req.conn_serial)
+        send_deadline_exceeded(cit->second.get(), req.id, req.deadline_ms);
     }
   }
 
@@ -1272,6 +1188,16 @@ struct Server::Impl {
     if (!id.is_null()) r.set("id", id);
     r.set("error", JsonValue::make_string(code));
     if (!detail.empty()) r.set("detail", JsonValue::make_string(detail));
+    send_json(conn, r.dump());
+    responses_error_.add(1);
+  }
+
+  void send_deadline_exceeded(Conn* conn, const JsonValue& id,
+                              int deadline_ms) {
+    JsonValue r = JsonValue::make_object();
+    if (!id.is_null()) r.set("id", id);
+    r.set("error", JsonValue::make_string("deadline_exceeded"));
+    r.set("deadline_ms", JsonValue::make_int(deadline_ms));
     send_json(conn, r.dump());
     responses_error_.add(1);
   }

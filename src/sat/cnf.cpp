@@ -78,62 +78,6 @@ void amo_commander(Cnf& cnf, std::vector<int> lits) {
   amo_pairwise(cnf, lits);
 }
 
-/// Sinz's sequential counter LT_{n,k}: register r[i][j] = "at least j+1
-/// of the first i+1 literals are true".
-void amk_sequential(Cnf& cnf, const std::vector<int>& lits, int k) {
-  const int n = static_cast<int>(lits.size());
-  // r(i, j) for i in [0, n-2], j in [0, k-1].
-  std::vector<int> r(static_cast<size_t>(n - 1) * static_cast<size_t>(k));
-  for (auto& v : r) v = cnf.new_var();
-  auto reg = [&](int i, int j) {
-    return r[static_cast<size_t>(i) * static_cast<size_t>(k) +
-             static_cast<size_t>(j)];
-  };
-  cnf.add_clause({-lits[0], reg(0, 0)});
-  for (int j = 1; j < k; ++j) cnf.add_clause({-reg(0, j)});
-  for (int i = 1; i < n - 1; ++i) {
-    cnf.add_clause({-lits[static_cast<size_t>(i)], reg(i, 0)});
-    cnf.add_clause({-reg(i - 1, 0), reg(i, 0)});
-    for (int j = 1; j < k; ++j) {
-      cnf.add_clause({-lits[static_cast<size_t>(i)], -reg(i - 1, j - 1),
-                      reg(i, j)});
-      cnf.add_clause({-reg(i - 1, j), reg(i, j)});
-    }
-    cnf.add_clause({-lits[static_cast<size_t>(i)], -reg(i - 1, k - 1)});
-  }
-  cnf.add_clause({-lits[static_cast<size_t>(n - 1)], -reg(n - 2, k - 1)});
-}
-
-/// Binomial at-most-k: forbid every (k+1)-subset.  `budget` caps the
-/// clause count; returns false when the expansion would exceed it.
-bool amk_pairwise(Cnf& cnf, const std::vector<int>& lits, int k,
-                  long budget) {
-  const int n = static_cast<int>(lits.size());
-  // C(n, k+1), capped at budget + 1.
-  long count = 1;
-  for (int i = 0; i < k + 1; ++i) {
-    count = count * (n - i) / (i + 1);
-    if (count > budget) return false;
-  }
-  // Enumerate (k+1)-subsets with a lexicographic index vector.
-  std::vector<int> idx(static_cast<size_t>(k + 1));
-  for (int i = 0; i <= k; ++i) idx[static_cast<size_t>(i)] = i;
-  while (true) {
-    std::vector<int> clause;
-    clause.reserve(idx.size());
-    for (int i : idx) clause.push_back(-lits[static_cast<size_t>(i)]);
-    cnf.add_clause(std::move(clause));
-    int pos = k;
-    while (pos >= 0 && idx[static_cast<size_t>(pos)] == n - (k + 1 - pos))
-      --pos;
-    if (pos < 0) break;
-    ++idx[static_cast<size_t>(pos)];
-    for (int i = pos + 1; i <= k; ++i)
-      idx[static_cast<size_t>(i)] = idx[static_cast<size_t>(i - 1)] + 1;
-  }
-  return true;
-}
-
 /// Merge two sorted-unary counters: out[k] fires when a and b together
 /// hold at least k+1 true inputs.  a_i ∧ b_j → out_{i+j} (i or j = 0
 /// meaning the empty prefix, which is vacuously true).
@@ -176,43 +120,6 @@ void add_at_most_one(Cnf& cnf, const std::vector<int>& lits, CardEncoding e) {
     case CardEncoding::kSequential: amo_sequential(cnf, lits); return;
     case CardEncoding::kCommander: amo_commander(cnf, lits); return;
   }
-}
-
-void add_at_most_k(Cnf& cnf, const std::vector<int>& lits, int k,
-                   CardEncoding e) {
-  const int n = static_cast<int>(lits.size());
-  if (k >= n) return;
-  if (k <= 0) {
-    for (int lit : lits) cnf.add_clause({-lit});
-    return;
-  }
-  if (k == 1) {
-    add_at_most_one(cnf, lits, e);
-    return;
-  }
-  if (e == CardEncoding::kPairwise && amk_pairwise(cnf, lits, k, 20'000))
-    return;
-  amk_sequential(cnf, lits, k);
-}
-
-void add_at_least_k(Cnf& cnf, const std::vector<int>& lits, int k,
-                    CardEncoding e) {
-  const int n = static_cast<int>(lits.size());
-  if (k <= 0) return;
-  if (k == n) {
-    for (int lit : lits) cnf.add_clause({lit});
-    return;
-  }
-  if (k > n) {
-    int v = cnf.new_var();  // unsatisfiable by construction
-    cnf.add_clause({v});
-    cnf.add_clause({-v});
-    return;
-  }
-  std::vector<int> negated;
-  negated.reserve(lits.size());
-  for (int lit : lits) negated.push_back(-lit);
-  add_at_most_k(cnf, negated, n - k, e);
 }
 
 }  // namespace picola::sat

@@ -1,15 +1,15 @@
 #pragma once
-// CNF formula builder with selectable cardinality encodings.
+// CNF formula builder with cardinality encodings.
 //
 // Literals use the DIMACS convention throughout: variables are 1-based,
 // a positive literal is the variable number and a negative literal its
-// negation.  The at-most-one / at-most-k helpers implement the three
-// classic encodings compared in "Yet Another Comparison of SAT Encodings
-// for the At-Most-K Constraint" (pairwise/binomial, Sinz's sequential
-// counter, and the commander encoding), selectable per build so the
-// benches can race them; all three introduce only implication clauses
-// over fresh auxiliary variables, so any satisfying assignment of the
-// original variables extends to one of the augmented formula.
+// negation.  The at-most-one helper implements three classic encodings
+// (pairwise, Sinz's sequential counter, and the commander encoding); the
+// indicator distinctness encoding (sat/encode.h) selects one per
+// reduction.  The totalizer counts for the sat backend's at-least-t
+// sweep.  Every encoding introduces only implication clauses over fresh
+// auxiliary variables, so any satisfying assignment of the original
+// variables extends to one of the augmented formula.
 
 #include <optional>
 #include <string>
@@ -50,18 +50,6 @@ std::optional<CardEncoding> parse_card_encoding(std::string_view name);
 /// commanders; kSequential uses the Sinz register chain; kPairwise emits
 /// all O(n^2) binary clauses.
 void add_at_most_one(Cnf& cnf, const std::vector<int>& lits, CardEncoding e);
-
-/// At most `k` of `lits` are true.  k <= 0 forces all literals false,
-/// k >= |lits| is a no-op.  kPairwise emits the binomial encoding (one
-/// clause per (k+1)-subset) but falls back to the sequential counter
-/// when that would exceed ~20k clauses; kCommander applies only to
-/// k == 1 and otherwise falls back to sequential.
-void add_at_most_k(Cnf& cnf, const std::vector<int>& lits, int k,
-                   CardEncoding e);
-
-/// At least `k` of `lits` are true (at-most-(n-k) over the negations).
-void add_at_least_k(Cnf& cnf, const std::vector<int>& lits, int k,
-                    CardEncoding e);
 
 /// Bailleux–Boutaouche totalizer over `lits`, counting direction only:
 /// returns outputs o[0..n-1] with clauses forcing o[j] whenever at least

@@ -71,8 +71,7 @@ const char* sweep_mode_name(SweepMode m);
 std::optional<SweepMode> parse_sweep_mode(std::string_view name);
 
 struct ReductionOptions {
-  /// Cardinality encoding for the indicator distinctness at-most-one
-  /// (and the scratch sweep's at-least-t).
+  /// Cardinality encoding for the indicator distinctness at-most-one.
   CardEncoding card = CardEncoding::kSequential;
   /// Distinctness encoding (see DistinctEncoding).
   DistinctEncoding distinct = DistinctEncoding::kDifference;

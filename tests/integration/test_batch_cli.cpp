@@ -14,6 +14,7 @@
 #include "core/picola.h"
 #include "eval/constraint_eval.h"
 #include "kiss/kiss_io.h"
+#include "net/json.h"
 
 #ifndef PICOLA_EXAMPLES_DIR
 #define PICOLA_EXAMPLES_DIR "examples/data"
@@ -129,6 +130,34 @@ TEST_F(BatchCliTest, BatchJsonEmitsStats) {
   EXPECT_NE(text.find("\"total_cubes\":"), std::string::npos);
   EXPECT_NE(text.find("\"cache_misses\":"), std::string::npos);
   EXPECT_NE(text.find("\"queue_high_water\":"), std::string::npos);
+}
+
+TEST_F(BatchCliTest, BatchJsonEscapesPathsAndReportsThrownJobs) {
+  // A path with a tab must come out escaped, and a job that throws (15
+  // symbols do not fit in 3 bits) must be listed with its error, not
+  // dropped: the whole output parses and holds both entries.
+  const std::string tab_path = testing::TempDir() + "picola_batch_a\tb.con";
+  std::filesystem::copy_file(PICOLA_EXAMPLES_DIR "/overlap.con", tab_path,
+                             fs::copy_options::overwrite_existing);
+  const std::string fig1 = PICOLA_EXAMPLES_DIR "/paper_fig1.con";
+  std::string list = write_list({tab_path, fig1}, "escape.list");
+  EXPECT_EQ(run({"batch", list, "--json", "--bits", "3"}), 1);
+  std::string error;
+  auto doc = net::JsonValue::parse(out_.str(), &error);
+  ASSERT_TRUE(doc) << error << "\n" << out_.str();
+  const net::JsonValue* files = doc->find("files");
+  ASSERT_TRUE(files && files->is_array());
+  ASSERT_EQ(files->items().size(), 2u) << out_.str();
+  const net::JsonValue& solved = files->items()[0];
+  EXPECT_EQ(solved.find("path")->as_string(), tab_path);
+  EXPECT_EQ(solved.find("bits")->as_int(), 3);
+  EXPECT_EQ(solved.find("n")->as_int(), 8);
+  const net::JsonValue& thrown = files->items()[1];
+  EXPECT_EQ(thrown.find("path")->as_string(), fig1);
+  EXPECT_EQ(thrown.find("error")->as_string(),
+            "picola_encode: code length 3 too small for 15 symbols");
+  EXPECT_EQ(doc->find("solved")->as_int(), 1);
+  std::remove(tab_path.c_str());
 }
 
 TEST_F(BatchCliTest, BatchReportsMissingFilesAndFails) {

@@ -62,6 +62,16 @@ TEST(ServeStdinEof, TrailingWhitespaceOnlyTailIsIgnored) {
   EXPECT_EQ(count_lines_starting(out.str(), "error"), 0) << out.str();
 }
 
+TEST(ServeStdinEof, FormFeedAndVerticalTabLinesAreBlank) {
+  // \f and \v are whitespace to the request-line tokenizer, so a line of
+  // them is blank, not a request for the empty path.
+  std::istringstream in(example("overlap.con") + "\n\f\v\n\v");
+  std::ostringstream out, err;
+  ASSERT_EQ(cli::run({"serve"}, in, out, err), 0);
+  EXPECT_EQ(count_lines_starting(out.str(), "ok "), 1);
+  EXPECT_EQ(count_lines_starting(out.str(), "error"), 0) << out.str();
+}
+
 TEST(ServeStdinEof, BatchListFileWithoutTrailingNewline) {
   std::string list_path = ::testing::TempDir() + "/picola_eof_list.txt";
   {

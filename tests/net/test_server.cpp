@@ -18,6 +18,8 @@
 #include "check/instance_gen.h"
 #include "cli/cli.h"
 #include "constraints/constraint_io.h"
+#include "kiss/benchmarks.h"
+#include "kiss/kiss_io.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/json.h"
@@ -221,6 +223,34 @@ TEST(NetServer, DeadlineExceededAnswersEarlyAndCancelsJob) {
   server.stop();
 }
 
+TEST(NetServer, DeadlineCoversParseAndDerivation) {
+  // The request clock starts at frame decode: deriving keyb's face
+  // constraints (several ms) already spends a 1 ms deadline, so even a
+  // cached problem is answered deadline_exceeded and never admitted.
+  Server server(base_options());
+  server.start();
+  Client c;
+  ASSERT_TRUE(c.connect("127.0.0.1", server.port()));
+  const std::string keyb = write_kiss(make_benchmark("keyb"));
+  auto warm = c.call(inline_request(keyb));
+  ASSERT_TRUE(warm);
+  ASSERT_TRUE(warm->find("ok")) << warm->dump();
+
+  JsonValue req = inline_request(keyb);
+  req.set("deadline_ms", JsonValue::make_int(1));
+  req.set("id", JsonValue::make_string("late"));
+  auto r = c.call(req);
+  ASSERT_TRUE(r);
+  EXPECT_EQ(str_field(*r, "error"), "deadline_exceeded") << r->dump();
+  EXPECT_EQ(str_field(*r, "id"), "late");
+  EXPECT_EQ(int_field(*r, "deadline_ms"), 1);
+  NetStats s = server.stats();
+  EXPECT_EQ(s.deadline_misses, 1);
+  EXPECT_EQ(s.requests_admitted, 1);
+  EXPECT_EQ(s.inflight, 0);
+  server.stop();
+}
+
 TEST(NetServer, BackendFieldSelectsBackendAndIsEchoed) {
   Server server(base_options());
   server.start();
@@ -391,6 +421,22 @@ TEST(NetServer, MalformedRequestsGetTypedErrors) {
   auto br = c.call(bad_restarts);
   ASSERT_TRUE(br);
   EXPECT_EQ(str_field(*br, "error"), "bad_request");
+  server.stop();
+}
+
+TEST(NetServer, FieldChecksPrecedeTheProblemParse) {
+  // A request that is wrong in both ways is rejected for its field,
+  // without paying for the parse.
+  Server server(base_options());
+  server.start();
+  Client c;
+  ASSERT_TRUE(c.connect("127.0.0.1", server.port()));
+  JsonValue both = inline_request("not a constraint file");
+  both.set("restarts", JsonValue::make_int(0));
+  auto r = c.call(both);
+  ASSERT_TRUE(r);
+  EXPECT_EQ(str_field(*r, "error"), "bad_request");
+  EXPECT_EQ(str_field(*r, "detail"), "restarts must be in [1, 1024]");
   server.stop();
 }
 
