@@ -49,6 +49,12 @@ std::optional<Problem> parse_problem_text(const std::string& text,
       if (error) *error = r.error;
       return std::nullopt;
     }
+    // The derived set has one symbol per state; refuse it as the .con
+    // parser refuses `.n 1`, before any request is admitted.
+    if (r.fsm.num_states() < 2) {
+      if (error) *error = "need at least 2 symbols";
+      return std::nullopt;
+    }
     p.set = derive_face_constraints(r.fsm).set;
     p.names = r.fsm.state_names;
   } else {

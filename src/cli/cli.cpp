@@ -733,13 +733,12 @@ int cmd_batch(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
   }
   service.wait_all();
   double ms = sw.elapsed_ms();
-  ServiceStats stats = service.stats();
 
   if (json) {
     out << "{\"files\":" << files.dump() << ",\"solved\":" << solved
         << ",\"total_cubes\":" << total_cubes << ",\"threads\":"
         << service.num_threads() << ",\"elapsed_ms\":" << ms
-        << ",\"stats\":" << service_stats_json(stats);
+        << ",\"stats\":" << service.stats_json();
     if (obs_session.metrics_wanted())
       out << ",\"metrics\":" << obs::MetricsRegistry::global().report_json()
           << ",\"service_metrics\":" << service.metrics().report_json();
@@ -749,7 +748,7 @@ int cmd_batch(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
         << total_cubes << " total cubes, " << sa->restarts
         << " restarts/job, " << service.num_threads() << " threads, "
         << ms << " ms\n";
-    out << "# service: " << format_service_stats(stats) << "\n";
+    out << "# service: " << service.stats_line() << "\n";
     if (obs_session.metrics_wanted()) {
       out << "# metrics (per-phase, process-wide):\n"
           << report_lines(obs::MetricsRegistry::global())
@@ -853,14 +852,16 @@ int cmd_serve_tcp(const ParsedArgs& a, const ServiceArgs& sa,
   sigaction(SIGPIPE, &sa_old_pipe, nullptr);
   g_signal_server.store(nullptr, std::memory_order_relaxed);
 
-  net::NetStats s = server->stats();
-  out << "# net: accepted=" << s.connections_accepted << " frames_in="
-      << s.frames_in << " frames_out=" << s.frames_out << " ok="
-      << s.responses_ok << " errors=" << s.responses_error << " sheds="
-      << s.sheds << " deadline_misses=" << s.deadline_misses
-      << " idle_closed=" << s.idle_closed << "\n";
-  out << "# service: " << format_service_stats(server->service().stats())
-      << "\n";
+  auto net = [&server](const char* name) {
+    return server->metrics().counter_value(std::string("net/") + name);
+  };
+  out << "# net: accepted=" << net("connections_accepted")
+      << " frames_in=" << net("frames_in") << " frames_out="
+      << net("frames_out") << " ok=" << net("responses_ok")
+      << " errors=" << net("responses_error") << " sheds=" << net("sheds")
+      << " deadline_misses=" << net("deadline_misses")
+      << " idle_closed=" << net("idle_closed") << "\n";
+  out << "# service: " << server->service().stats_line() << "\n";
   if (obs_session.metrics_wanted()) {
     out << "# metrics (net):\n" << report_lines(server->metrics())
         << "# metrics (service):\n"
@@ -1126,7 +1127,7 @@ int cmd_serve(const ParsedArgs& a, std::istream& in, std::ostream& out,
     if (line.empty() || line[0] == '#') continue;
     if (line == "quit" || line == "exit") break;
     if (line == "stats") {
-      out << "stats " << format_service_stats(service.stats()) << "\n";
+      out << "stats " << service.stats_line() << "\n";
       continue;
     }
     if (line == "metrics") {

@@ -34,6 +34,12 @@ ConstraintParseResult parse_constraints(std::istream& in) {
     auto fail = [&](const std::string& msg) {
       res.error = "line " + std::to_string(lineno) + ": " + msg;
     };
+    const bool declares = toks[0] == ".n" || toks[0] == ".names";
+    if (declares && !res.set.constraints.empty()) {
+      // The earlier rows were range-checked against the old count.
+      fail(toks[0] + " after a constraint");
+      return res;
+    }
     if (toks[0] == ".n") {
       if (toks.size() != 2) { fail(".n needs one argument"); return res; }
       auto v = parse_int(toks[1]);

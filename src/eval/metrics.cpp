@@ -19,33 +19,6 @@ std::string format_ratio(double x) {
   return buf;
 }
 
-std::string format_service_stats(const ServiceStats& s) {
-  char buf[320];
-  std::snprintf(buf, sizeof buf,
-                "jobs %ld/%ld, cache %ld hit / %ld miss / %ld joined "
-                "/ %ld evicted, %ld restart tasks, "
-                "queue hwm %zu, %.1f ms total (max %.1f)",
-                s.jobs_completed, s.jobs_submitted, s.cache_hits,
-                s.cache_misses, s.inflight_joins, s.cache_evictions,
-                s.restart_tasks, s.queue_high_water, s.total_job_ms,
-                s.max_job_ms);
-  return buf;
-}
-
-std::string service_stats_json(const ServiceStats& s) {
-  char buf[448];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\"jobs_submitted\":%ld,\"jobs_completed\":%ld,\"cache_hits\":%ld,"
-      "\"inflight_joins\":%ld,\"cache_misses\":%ld,\"cache_evictions\":%ld,"
-      "\"restart_tasks\":%ld,\"queue_high_water\":%zu,"
-      "\"total_job_ms\":%.3f,\"max_job_ms\":%.3f}",
-      s.jobs_submitted, s.jobs_completed, s.cache_hits, s.inflight_joins,
-      s.cache_misses, s.cache_evictions, s.restart_tasks, s.queue_high_water,
-      s.total_job_ms, s.max_job_ms);
-  return buf;
-}
-
 std::string picola_stats_json(const PicolaStats& s) {
   std::ostringstream os;
   os << "{\"guides_added\":" << s.guides_added

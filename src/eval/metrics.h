@@ -37,32 +37,6 @@ EncodingQuality encoding_quality(const ConstraintSet& cs, const Encoding& enc);
 /// Render a ratio like "0.93" with two decimals.
 std::string format_ratio(double x);
 
-/// Counters of one EncodingService (src/service) instance, snapshot at a
-/// point in time.  Defined here so the benches and CLI front-ends can
-/// report service behaviour with the other metrics.  Since the obs PR
-/// this struct is a *view*: EncodingService keeps the live counts in its
-/// per-instance obs::MetricsRegistry and stats() renders them into this
-/// struct, so the old API and its JSON shape keep working.
-struct ServiceStats {
-  long jobs_submitted = 0;
-  long jobs_completed = 0;
-  long cache_hits = 0;      ///< submissions answered from a *finished* job
-  long inflight_joins = 0;  ///< submissions that joined an in-flight twin
-  long cache_misses = 0;    ///< submissions that had to be computed
-  long cache_evictions = 0; ///< LRU evictions in the result cache
-  long restart_tasks = 0;   ///< pool tasks spawned by the restart fan-out
-  size_t queue_high_water = 0;  ///< deepest pool queue observed
-  double total_job_ms = 0;      ///< sum of computed jobs' wall times
-  double max_job_ms = 0;        ///< slowest computed job
-};
-
-/// One-line human-readable rendering of the counters.
-std::string format_service_stats(const ServiceStats& s);
-
-/// JSON object rendering (keys = field names), for --json front-ends and
-/// the batch-throughput bench.
-std::string service_stats_json(const ServiceStats& s);
-
 /// JSON rendering of one run's PicolaStats (the `picola encode
 /// --stats-json` payload; timing fields need obs enabled, see
 /// core/picola.h).

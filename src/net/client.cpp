@@ -14,6 +14,7 @@
 #include <cstring>
 #include <thread>
 
+#include "base/hex.h"
 #include "net/protocol.h"
 #include "net/sys.h"
 #include "obs/tracer.h"
@@ -258,13 +259,11 @@ std::optional<JsonValue> Client::call(const JsonValue& request,
       rng_ = splitmix64(rng_);
       trace_id = rng_;
     } while (trace_id == 0);
-    traced.set("trace_id",
-               JsonValue::make_string(obs::trace_id_hex(trace_id)));
+    traced.set("trace_id", JsonValue::make_string(hex64(trace_id)));
   }
   if (!traced.find("parent_span")) {
     rng_ = splitmix64(rng_);
-    traced.set("parent_span",
-               JsonValue::make_string(obs::trace_id_hex(rng_ ? rng_ : 1)));
+    traced.set("parent_span", JsonValue::make_string(hex64(rng_ ? rng_ : 1)));
   }
   last_trace_id_ = trace_id;
   obs::ScopedTraceId scope(trace_id);

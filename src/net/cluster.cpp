@@ -144,19 +144,6 @@ ClusterClient::ClusterClient(ClusterOptions opt) : opt_(std::move(opt)) {
     breakers_.push_back(std::make_unique<CircuitBreaker>(opt_.breaker));
     health_.push_back(std::make_unique<Health>());
   }
-  if (opt_.metrics) {
-    m_reroutes_ = &opt_.metrics->counter("cluster/reroutes");
-    m_hedges_ = &opt_.metrics->counter("cluster/hedges");
-    m_hedge_wins_ = &opt_.metrics->counter("cluster/hedge_wins");
-    m_duplicates_ = &opt_.metrics->counter("cluster/duplicates_suppressed");
-    m_drains_ = &opt_.metrics->counter("cluster/drains_observed");
-    m_rejoins_ = &opt_.metrics->counter("cluster/rejoins");
-    m_retry_floor_ = &opt_.metrics->counter("cluster/retry_floor_waits");
-    m_breaker_state_.reserve(opt_.members.size());
-    for (size_t i = 0; i < opt_.members.size(); ++i)
-      m_breaker_state_.push_back(&opt_.metrics->gauge(
-          "cluster/backend" + std::to_string(i) + "_breaker_state"));
-  }
 }
 
 ClusterClient::~ClusterClient() {
@@ -180,18 +167,6 @@ CircuitBreaker::State ClusterClient::breaker_state(size_t backend) const {
 
 bool ClusterClient::draining(size_t backend) const {
   return health_[backend]->draining.load(std::memory_order_relaxed);
-}
-
-void ClusterClient::refresh_gauges() const {
-  for (size_t i = 0; i < m_breaker_state_.size(); ++i) {
-    int64_t v = 0;
-    switch (breakers_[i]->state()) {
-      case CircuitBreaker::State::kClosed: v = 0; break;
-      case CircuitBreaker::State::kOpen: v = 1; break;
-      case CircuitBreaker::State::kHalfOpen: v = 2; break;
-    }
-    m_breaker_state_[i]->set(v);
-  }
 }
 
 int ClusterClient::backoff_ms(int round) {
@@ -309,12 +284,10 @@ bool ClusterClient::skip_draining(int backend) {
     if (code == 200) {
       h.draining.store(false, std::memory_order_release);
       bump(&Stats::rejoins);
-      if (m_rejoins_) m_rejoins_->add(1);
       return false;  // back in rotation
     }
     if (code == 503) {
       bump(&Stats::drains_observed);
-      if (m_drains_) m_drains_->add(1);
     }
     return true;  // still draining (503) or dead (-1): keep skipping
   }
@@ -322,7 +295,6 @@ bool ClusterClient::skip_draining(int backend) {
   // or the next shutting_down reply re-confirm.
   h.draining.store(false, std::memory_order_release);
   bump(&Stats::rejoins);
-  if (m_rejoins_) m_rejoins_->add(1);
   return false;
 }
 
@@ -399,7 +371,6 @@ void ClusterClient::run_leg(int backend, bool probe, JsonValue request,
       // Exactly-one-reply: the race was already won; this duplicate is
       // accounted and dropped, never surfaced.
       bump(&Stats::duplicates_suppressed);
-      if (m_duplicates_) m_duplicates_->add(1);
     }
   }
   call->cv.notify_all();
@@ -466,9 +437,7 @@ ClusterClient::Outcome ClusterClient::dispatch(
         (*attempts_spent)++;
         bump(&Stats::attempts);
         bump(&Stats::hedges);
-        if (m_hedges_) m_hedges_->add(1);
         bump(&Stats::reroutes);  // a hedge leg is never the owner
-        if (m_reroutes_) m_reroutes_->add(1);
         spawn([this, hedge_backend, hedge_probe, request, want_id, call] {
           run_leg(hedge_backend, hedge_probe, request, want_id, call, 1);
         });
@@ -484,7 +453,6 @@ ClusterClient::Outcome ClusterClient::dispatch(
       if (call->winner == 1) {
         oc.hedge_won = true;
         bump(&Stats::hedge_wins);
-        if (m_hedge_wins_) m_hedge_wins_->add(1);
       }
       return oc;
     }
@@ -555,7 +523,6 @@ std::optional<JsonValue> ClusterClient::call(const JsonValue& request,
       if (pending_floor_ms > 0) {
         sleep_ms(std::max(pending_floor_ms, backoff_ms(round)));
         bump(&Stats::retry_floor_waits);
-        if (m_retry_floor_) m_retry_floor_->add(1);
         pending_floor_ms = 0;
       }
       CircuitBreaker::Decision gate =
@@ -573,7 +540,6 @@ std::optional<JsonValue> ClusterClient::call(const JsonValue& request,
       if (pos != 0) {
         inf.rerouted = true;
         bump(&Stats::reroutes);
-        if (m_reroutes_) m_reroutes_->add(1);
       }
       Outcome oc = dispatch(b, gate.probe, req, want_id, prefs, pos, &budget);
       if (oc.hedged) {
@@ -600,7 +566,6 @@ std::optional<JsonValue> ClusterClient::call(const JsonValue& request,
           h.next_probe_at.store(now_ms() + opt_.health_recheck_ms,
                                 std::memory_order_release);
           bump(&Stats::drains_observed);
-          if (m_drains_) m_drains_->add(1);
           last_error = oc.error;
           break;
         }

@@ -41,7 +41,6 @@
 #include "net/client.h"
 #include "net/hash_ring.h"
 #include "net/json.h"
-#include "obs/metrics.h"
 
 namespace picola::net {
 
@@ -88,10 +87,6 @@ struct ClusterOptions {
   /// backends): first cap and max cap in ms.
   int backoff_base_ms = 5;
   int backoff_max_ms = 500;
-  /// Optional registry to mirror Stats into (cluster/* counters and a
-  /// per-backend cluster/backend<i>_breaker_state gauge — see
-  /// refresh_gauges()).  Must outlive the client.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 class ClusterClient {
@@ -145,10 +140,6 @@ class ClusterClient {
   int owner_of(uint64_t key) const { return ring_.owner(key); }
   CircuitBreaker::State breaker_state(size_t backend) const;
   bool draining(size_t backend) const;
-
-  /// Refresh the per-backend cluster/backend<i>_breaker_state gauges
-  /// (0 closed / 1 open / 2 half-open) in the attached registry.
-  void refresh_gauges() const;
 
  private:
   struct Lane;       // one serialised connection per backend
@@ -208,16 +199,6 @@ class ClusterClient {
   std::mutex outstanding_mu_;
   std::condition_variable outstanding_cv_;
   int outstanding_ = 0;
-
-  // Mirrored metrics (null when no registry was attached).
-  obs::Counter* m_reroutes_ = nullptr;
-  obs::Counter* m_hedges_ = nullptr;
-  obs::Counter* m_hedge_wins_ = nullptr;
-  obs::Counter* m_duplicates_ = nullptr;
-  obs::Counter* m_drains_ = nullptr;
-  obs::Counter* m_rejoins_ = nullptr;
-  obs::Counter* m_retry_floor_ = nullptr;
-  std::vector<obs::Gauge*> m_breaker_state_;
 };
 
 }  // namespace picola::net

@@ -29,12 +29,6 @@ struct JobResult;
 
 namespace picola::net {
 
-/// 16 lowercase hex digits: the wire form of 64-bit hashes and ids.
-std::string hex64(uint64_t v);
-
-/// 1-16 hex digits of either case -> *out; false on anything else.
-bool parse_hex64(const std::string& s, uint64_t* out);
-
 /// One request of the line front-ends.  Options may come in any order;
 /// a repeated option keeps its last value.
 struct RequestLine {

@@ -21,9 +21,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/hex.h"
 #include "base/problem_io.h"
 #include "encoders/restart.h"
-#include "eval/metrics.h"
 #include "fault/fault.h"
 #include "net/client.h"
 #include "net/frame.h"
@@ -571,14 +571,17 @@ struct Server::Impl {
     refresh_gauges();
     const ResultCache& cache = service_.cache();
     const obs::MetricsRegistry& sm = service_.metrics();
+    auto gauge = [&sm](const char* name) {
+      return std::to_string(sm.gauge_value(name));
+    };
     std::string j = "{";
     j += "\"uptime_seconds\":" +
          std::to_string(uptime_seconds_.value()) + ",";
     j += "\"build\":" + obs::build_info_json() + ",";
     j += std::string("\"draining\":") + (draining_ ? "true" : "false") + ",";
-    j += "\"inflight\":" + std::to_string(requests_.size()) + ",";
-    j += "\"connections_active\":" + std::to_string(conns_.size()) + ",";
-    j += "\"cache\":{\"entries\":" + std::to_string(cache.size()) +
+    j += "\"inflight\":" + std::to_string(inflight_.value()) + ",";
+    j += "\"connections_active\":" + std::to_string(active_.value()) + ",";
+    j += "\"cache\":{\"entries\":" + gauge("cache/entries") +
          ",\"capacity\":" + std::to_string(cache.capacity()) +
          ",\"shards\":" + std::to_string(cache.num_shards()) + "},";
     j += "\"backends\":{\"picola\":" +
@@ -588,21 +591,21 @@ struct Server::Impl {
          ",\"anneal\":" +
          std::to_string(sm.counter_value("service/backend_anneal")) + "},";
     if (const persist::CacheStore* store = service_.store()) {
-      const persist::LoadStats& ls = store->load_stats();
       j += "\"persist\":{\"dir\":" +
            JsonValue::make_string(store->dir()).dump() +
-           ",\"epoch\":" + std::to_string(store->epoch()) +
-           ",\"snapshots\":" + std::to_string(store->snapshots_taken()) +
+           ",\"epoch\":" + gauge("persist/epoch") + ",\"snapshots\":" +
+           std::to_string(sm.counter_value("persist/snapshots")) +
            ",\"snapshot_age_seconds\":" +
-           std::to_string(static_cast<int64_t>(store->snapshot_age_s())) +
-           ",\"journal_bytes\":" + std::to_string(store->journal_bytes()) +
-           ",\"records_loaded\":" + std::to_string(ls.snapshot_records) +
-           ",\"journal_replayed\":" +
-           std::to_string(ls.journal_inserts + ls.journal_evicts) +
+           gauge("persist/snapshot_age_seconds") +
+           ",\"journal_bytes\":" + gauge("persist/journal_bytes") +
+           ",\"records_loaded\":" + gauge("persist/records_loaded") +
+           ",\"journal_replayed\":" + gauge("persist/journal_replayed") +
            ",\"torn_tail_recovered\":" +
-           (ls.torn_tail ? std::string("true") : std::string("false")) +
+           (sm.gauge_value("persist/torn_tail") ? "true" : "false") +
            ",\"recovery\":\"" +
-           persist::recovery_outcome_name(ls.outcome) + "\"},";
+           persist::recovery_outcome_name(static_cast<persist::RecoveryOutcome>(
+               sm.gauge_value("persist/recovery_outcome"))) +
+           "\"},";
     }
     if (peer_ring_) {
       j += "\"cluster\":{\"self\":" + JsonValue::make_string(opt_.self).dump() +
@@ -611,7 +614,7 @@ struct Server::Impl {
            ",\"forwarded_hits\":" + std::to_string(forwarded_hits_.value()) +
            ",\"peeks_served\":" + std::to_string(peeks_served_.value()) + "},";
     }
-    j += "\"service\":" + service_stats_json(service_.stats()) + "}";
+    j += "\"service\":" + service_.stats_json() + "}";
     return j;
   }
 
@@ -702,7 +705,7 @@ struct Server::Impl {
       std::string body = "{";
       if (!id.is_null()) body += "\"id\":" + id.dump() + ",";
       body += "\"ok\":true,\"net\":" + net_stats_json() +
-              ",\"service\":" + service_stats_json(service_.stats()) + "}";
+              ",\"service\":" + service_.stats_json() + "}";
       send_json(conn, body);
       responses_ok_.add(1);
       return;
@@ -1070,11 +1073,10 @@ struct Server::Impl {
     line.set("event", JsonValue::make_string("slow_request"));
     line.set("serial", JsonValue::make_int(static_cast<int64_t>(req.serial)));
     if (req.trace_id)
-      line.set("trace_id",
-               JsonValue::make_string(obs::trace_id_hex(req.trace_id)));
+      line.set("trace_id", JsonValue::make_string(hex64(req.trace_id)));
     if (req.parent_span)
       line.set("parent_span",
-               JsonValue::make_string(obs::trace_id_hex(req.parent_span)));
+               JsonValue::make_string(hex64(req.parent_span)));
     line.set("wall_ms", JsonValue::make_double(wall_ms));
     if (r) {
       const double queue_ms = r->queue_wait_ms;
@@ -1296,45 +1298,25 @@ struct Server::Impl {
   // ---- reporting -------------------------------------------------------
 
   std::string net_stats_json() const {
-    NetStats s = snapshot();
     std::string j = "{";
-    auto add = [&j](const char* k, long v) {
+    auto add = [&j](const char* k, long long v) {
       j += "\"" + std::string(k) + "\":" + std::to_string(v) + ",";
     };
-    add("connections_accepted", s.connections_accepted);
-    add("connections_closed", s.connections_closed);
-    add("active_connections", s.active_connections);
-    add("frames_in", s.frames_in);
-    add("frames_out", s.frames_out);
-    add("requests_admitted", s.requests_admitted);
-    add("responses_ok", s.responses_ok);
-    add("responses_error", s.responses_error);
-    add("sheds", s.sheds);
-    add("deadline_misses", s.deadline_misses);
-    add("cancelled_jobs", s.cancelled_jobs);
-    add("frame_errors", s.frame_errors);
-    add("idle_closed", s.idle_closed);
-    j += "\"inflight\":" + std::to_string(s.inflight) + "}";
+    add("connections_accepted", accepted_.value());
+    add("connections_closed", closed_.value());
+    add("active_connections", active_.value());
+    add("frames_in", frames_in_.value());
+    add("frames_out", frames_out_.value());
+    add("requests_admitted", admitted_.value());
+    add("responses_ok", responses_ok_.value());
+    add("responses_error", responses_error_.value());
+    add("sheds", sheds_.value());
+    add("deadline_misses", deadline_misses_.value());
+    add("cancelled_jobs", cancelled_jobs_.value());
+    add("frame_errors", frame_errors_.value());
+    add("idle_closed", idle_closed_.value());
+    j += "\"inflight\":" + std::to_string(inflight_.value()) + "}";
     return j;
-  }
-
-  NetStats snapshot() const {
-    NetStats s;
-    s.connections_accepted = static_cast<long>(accepted_.value());
-    s.connections_closed = static_cast<long>(closed_.value());
-    s.frames_in = static_cast<long>(frames_in_.value());
-    s.frames_out = static_cast<long>(frames_out_.value());
-    s.requests_admitted = static_cast<long>(admitted_.value());
-    s.responses_ok = static_cast<long>(responses_ok_.value());
-    s.responses_error = static_cast<long>(responses_error_.value());
-    s.sheds = static_cast<long>(sheds_.value());
-    s.deadline_misses = static_cast<long>(deadline_misses_.value());
-    s.cancelled_jobs = static_cast<long>(cancelled_jobs_.value());
-    s.frame_errors = static_cast<long>(frame_errors_.value());
-    s.idle_closed = static_cast<long>(idle_closed_.value());
-    s.active_connections = static_cast<long>(active_.value());
-    s.inflight = static_cast<long>(inflight_.value());
-    return s;
   }
 
   // ---- members ---------------------------------------------------------
@@ -1436,8 +1418,6 @@ void Server::stop() {
   impl_->request_shutdown();
   if (impl_->loop_thread_.joinable()) impl_->loop_thread_.join();
 }
-
-NetStats Server::stats() const { return impl_->snapshot(); }
 
 const obs::MetricsRegistry& Server::metrics() const {
   return impl_->registry_;

@@ -105,24 +105,6 @@ struct ServerOptions {
   ServiceOptions service;
 };
 
-/// Point-in-time counters (the live registry is metrics()).
-struct NetStats {
-  long connections_accepted = 0;
-  long connections_closed = 0;
-  long frames_in = 0;
-  long frames_out = 0;
-  long requests_admitted = 0;
-  long responses_ok = 0;
-  long responses_error = 0;
-  long sheds = 0;
-  long deadline_misses = 0;
-  long cancelled_jobs = 0;
-  long frame_errors = 0;
-  long idle_closed = 0;
-  long active_connections = 0;
-  long inflight = 0;
-};
-
 class Server {
  public:
   /// Binds and listens immediately (throws std::runtime_error on
@@ -154,9 +136,9 @@ class Server {
   /// request_shutdown() and join the start() thread (no-op after run()).
   void stop();
 
-  NetStats stats() const;
   /// Live net/* registry (counters, gauges, the net/request latency
-  /// histogram).
+  /// histogram) — the only store of the server's counts; the `stats`
+  /// command, /statusz and serve --tcp's `# net:` line render it.
   const obs::MetricsRegistry& metrics() const;
   /// The embedded service (its own registry rides along).
   EncodingService& service();

@@ -152,6 +152,12 @@ uint64_t MetricsRegistry::counter_value(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second->value();
 }
 
+int64_t MetricsRegistry::gauge_value(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = gauges_.find(name);
+  return it == gauges_.end() ? 0 : it->second->value();
+}
+
 std::vector<std::pair<std::string, uint64_t>>
 MetricsRegistry::counter_snapshots() const {
   std::lock_guard<std::mutex> lock(mu_);

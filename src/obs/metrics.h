@@ -135,8 +135,9 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  /// Current value of a counter, 0 if it was never created.
+  /// Current value of a counter / gauge, 0 if it was never created.
   uint64_t counter_value(const std::string& name) const;
+  int64_t gauge_value(const std::string& name) const;
 
   /// Value of every counter / gauge, sorted by name (exporters).
   std::vector<std::pair<std::string, uint64_t>> counter_snapshots() const;

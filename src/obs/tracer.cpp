@@ -5,6 +5,8 @@
 #include <map>
 #include <sstream>
 
+#include "base/hex.h"
+
 namespace picola::obs {
 
 namespace {
@@ -35,13 +37,6 @@ std::string fmt_us(uint64_t ns) {
 uint64_t current_trace_id() { return t_trace_id; }
 
 void set_current_trace_id(uint64_t id) { t_trace_id = id; }
-
-std::string trace_id_hex(uint64_t id) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(id));
-  return buf;
-}
 
 Tracer& Tracer::global() {
   static Tracer* t = new Tracer();  // leaked: thread buffers must outlive
@@ -110,7 +105,7 @@ std::string Tracer::chrome_trace_json() const {
        << "\",\"ph\":\"X\",\"ts\":" << fmt_us(e.start_ns) << ",\"dur\":"
        << fmt_us(e.dur_ns) << ",\"pid\":1,\"tid\":" << e.tid;
     if (e.trace_id != 0)
-      os << ",\"args\":{\"trace_id\":\"" << trace_id_hex(e.trace_id) << "\"}";
+      os << ",\"args\":{\"trace_id\":\"" << hex64(e.trace_id) << "\"}";
     os << "}";
   }
   os << "],\"displayTimeUnit\":\"ms\"}";

@@ -61,9 +61,6 @@ class ScopedTraceId {
   uint64_t prev_;
 };
 
-/// Canonical wire rendering of a trace id: 16 lowercase hex digits.
-std::string trace_id_hex(uint64_t id);
-
 class Tracer {
  public:
   static Tracer& global();

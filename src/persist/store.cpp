@@ -394,6 +394,7 @@ bool CacheStore::rotate_journal(std::string* err) {
     journal_.close();
   }
   ++journal_epoch_;
+  if (epoch_gauge_) epoch_gauge_->set(static_cast<int64_t>(journal_epoch_));
   journal_bytes_ = 0;
   journal_broken_ = false;
   // Created lazily by the first append; the epoch exists logically the
@@ -471,7 +472,6 @@ bool CacheStore::snapshot(const ResultCache& cache, std::string* error) {
   }
   if (snapshots_) snapshots_->add(1);
   if (snapshot_ns_) snapshot_ns_->record(obs::now_ns() - t0);
-  if (epoch_gauge_) epoch_gauge_->set(static_cast<int64_t>(epoch));
   refresh_gauges();
   return true;
 }
@@ -511,10 +511,6 @@ double CacheStore::snapshot_age_s() const {
   return static_cast<double>(obs::now_ns() -
                              static_cast<uint64_t>(last_snapshot_ns_)) /
          1e9;
-}
-
-uint64_t CacheStore::snapshots_taken() const {
-  return snapshots_ ? static_cast<uint64_t>(snapshots_->value()) : 0;
 }
 
 }  // namespace picola::persist

@@ -132,7 +132,6 @@ class CacheStore : public ResultCache::Listener {
   /// Seconds since the last successful snapshot (this process); -1
   /// before the first one.
   double snapshot_age_s() const;
-  uint64_t snapshots_taken() const;
   const std::string& dir() const { return options_.dir; }
 
  private:

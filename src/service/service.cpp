@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <atomic>
+#include <cstdio>
 #include <new>
 #include <stdexcept>
 #include <thread>
@@ -21,6 +22,9 @@ int default_threads(int requested) {
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 4;
 }
+
+unsigned long long count(const obs::Counter& c) { return c.value(); }
+double ns_to_ms(uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 
 }  // namespace
 
@@ -375,21 +379,40 @@ void EncodingService::wait_all() {
   cv_done_.wait(lock, [this]() { return pending_.empty(); });
 }
 
-ServiceStats EncodingService::stats() const {
+std::string EncodingService::stats_line() const {
   refresh_gauges();
-  ServiceStats s;
-  s.jobs_submitted = static_cast<long>(jobs_submitted_.value());
-  s.jobs_completed = static_cast<long>(jobs_completed_.value());
-  s.cache_hits = static_cast<long>(cache_hits_.value());
-  s.inflight_joins = static_cast<long>(inflight_joins_.value());
-  s.cache_misses = static_cast<long>(cache_misses_.value());
-  s.restart_tasks = static_cast<long>(restart_tasks_.value());
-  s.cache_evictions = cache_.stats().evictions;
-  obs::Histogram::Snapshot jobs = job_wall_ns_.snapshot();
-  s.total_job_ms = static_cast<double>(jobs.sum) / 1e6;
-  s.max_job_ms = static_cast<double>(jobs.max) / 1e6;
-  s.queue_high_water = pool_.queue_high_water();
-  return s;
+  const obs::Histogram::Snapshot jobs = job_wall_ns_.snapshot();
+  char buf[320];
+  std::snprintf(buf, sizeof buf,
+                "jobs %llu/%llu, cache %llu hit / %llu miss / %llu joined "
+                "/ %ld evicted, %llu restart tasks, "
+                "queue hwm %lld, %.1f ms total (max %.1f)",
+                count(jobs_completed_), count(jobs_submitted_),
+                count(cache_hits_), count(cache_misses_),
+                count(inflight_joins_), cache_.stats().evictions,
+                count(restart_tasks_),
+                static_cast<long long>(
+                    registry_.gauge_value("pool/queue_depth_hwm")),
+                ns_to_ms(jobs.sum), ns_to_ms(jobs.max));
+  return buf;
+}
+
+std::string EncodingService::stats_json() const {
+  refresh_gauges();
+  const obs::Histogram::Snapshot jobs = job_wall_ns_.snapshot();
+  char buf[448];
+  std::snprintf(
+      buf, sizeof buf,
+      "{\"jobs_submitted\":%llu,\"jobs_completed\":%llu,"
+      "\"cache_hits\":%llu,\"inflight_joins\":%llu,\"cache_misses\":%llu,"
+      "\"cache_evictions\":%ld,\"restart_tasks\":%llu,"
+      "\"queue_high_water\":%lld,\"total_job_ms\":%.3f,\"max_job_ms\":%.3f}",
+      count(jobs_submitted_), count(jobs_completed_), count(cache_hits_),
+      count(inflight_joins_), count(cache_misses_), cache_.stats().evictions,
+      count(restart_tasks_),
+      static_cast<long long>(registry_.gauge_value("pool/queue_depth_hwm")),
+      ns_to_ms(jobs.sum), ns_to_ms(jobs.max));
+  return buf;
 }
 
 }  // namespace picola

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "eval/metrics.h"
 #include "obs/metrics.h"
 #include "persist/store.h"
 #include "service/job.h"
@@ -64,7 +63,8 @@ struct JobResult {
   /// selected another backend or the portfolio).
   portfolio::BackendKind backend = portfolio::BackendKind::kPicola;
   /// Answered without computing: either a completed-result cache hit or
-  /// an in-flight join (ServiceStats tells the two apart).
+  /// an in-flight join (service/cache_hits and service/inflight_joins
+  /// tell the two apart).
   bool cache_hit = false;
   double wall_ms = 0;     ///< submit-to-completion wall time (0 on hits)
   /// Submission-to-first-slot-dequeue latency — how long the job sat in
@@ -104,14 +104,19 @@ class EncodingService {
   /// Block until every submitted job has completed.
   void wait_all();
 
-  /// Snapshot of the service counters (see eval/metrics.h).  Rendered
-  /// from the per-instance metrics registry — the struct is a view.
-  ServiceStats stats() const;
+  /// The service counters as one line ("jobs 2/3, cache 1 hit / ...")
+  /// and as a JSON object — the service part of every stats view: stdin
+  /// serve's `stats`, batch, the TCP `stats` command, /statusz and serve
+  /// --tcp's exit line.  Rendered from metrics() (plus the cache's own
+  /// eviction count) after refresh_gauges().
+  std::string stats_line() const;
+  std::string stats_json() const;
 
-  /// The live per-instance registry behind stats(): service/* counters,
-  /// pool/* contention metrics, cache/* shard heat, portfolio/* backend
-  /// latency histograms, sat/* solver counters, and the service/job
-  /// wall-time histogram (ns).
+  /// The live per-instance registry, the only store of the service's
+  /// counts: service/* counters, pool/* contention metrics, cache/*
+  /// shard heat, persist/* store metrics, portfolio/* backend latency
+  /// histograms, sat/* solver counters, and the service/job wall-time
+  /// histogram (ns).
   const obs::MetricsRegistry& metrics() const { return registry_; }
 
   /// Bring the point-in-time gauges (service/uptime_seconds,

@@ -40,7 +40,6 @@ void ThreadPool::post(std::function<void()> task) {
     if (queue_wait_ns_) q.enqueue_ns = obs::now_ns();
     q.fn = std::move(task);
     queue_.push_back(std::move(q));
-    queue_hwm_ = std::max(queue_hwm_, queue_.size());
     if (queue_depth_) queue_depth_->set(static_cast<int64_t>(queue_.size()));
     if (queue_depth_hwm_)
       queue_depth_hwm_->max_of(static_cast<int64_t>(queue_.size()));
@@ -70,11 +69,6 @@ void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_idle_.wait(lock,
                 [this]() { return queue_.empty() && executing_ == 0; });
-}
-
-size_t ThreadPool::queue_high_water() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_hwm_;
 }
 
 void ThreadPool::worker_loop() {

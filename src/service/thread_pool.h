@@ -10,8 +10,6 @@
 // escaping a raw post()ed task is swallowed by the worker (counted as
 // pool/tasks_failed when metrics are attached) instead of terminating
 // the process.
-//
-// The pool records the queue-depth high-water mark for ServiceStats.
 
 #include <condition_variable>
 #include <cstddef>
@@ -82,9 +80,6 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Largest queue depth observed since construction.
-  size_t queue_high_water() const;
-
  private:
   void worker_loop();
 
@@ -93,14 +88,13 @@ class ThreadPool {
     std::function<void()> fn;
   };
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_task_;   ///< workers wait for work
   std::condition_variable cv_space_;  ///< producers wait for queue space
   std::condition_variable cv_idle_;   ///< wait_idle() waiters
   std::deque<Queued> queue_;
   std::vector<std::thread> workers_;
   size_t max_queue_;
-  size_t queue_hwm_ = 0;
   int executing_ = 0;
   bool shutting_down_ = false;
   obs::Counter* tasks_posted_ = nullptr;    ///< optional, see constructor

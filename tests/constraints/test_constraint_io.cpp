@@ -57,6 +57,9 @@ TEST(ConstraintIo, Errors) {
   EXPECT_FALSE(parse_constraints(".n 4\n0 x\n.e\n").ok());    // unknown name
   EXPECT_FALSE(parse_constraints(".n 4\n0 1 * z\n.e\n").ok()); // bad weight
   EXPECT_FALSE(parse_constraints(".foo\n").ok());             // bad directive
+  // A count after a row would change the range the row was checked in.
+  EXPECT_FALSE(parse_constraints(".n 15\n1 5 7 13\n.n 8\n.e\n").ok());
+  EXPECT_FALSE(parse_constraints(".n 4\n0 1\n.names a b\n.e\n").ok());
   EXPECT_FALSE(parse_constraints("").ok());                   // empty
 }
 

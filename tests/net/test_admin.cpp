@@ -21,9 +21,11 @@
 #include <thread>
 #include <vector>
 
+#include "base/hex.h"
 #include "check/instance_gen.h"
 #include "constraints/constraint_io.h"
 #include "fault/fault.h"
+#include "http_get.h"
 #include "net/client.h"
 #include "net/json.h"
 #include "net/server.h"
@@ -51,50 +53,6 @@ const std::string& small_con() {
     return write_constraints(gen.next().set);
   }();
   return text;
-}
-
-/// Blocking loopback HTTP/1.0 GET.  Returns status code and body, or
-/// nullopt on transport failure.
-std::optional<std::pair<int, std::string>> http_get(uint16_t port,
-                                                    const std::string& path) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return std::nullopt;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
-  size_t off = 0;
-  while (off < req.size()) {
-    ssize_t n = ::send(fd, req.data() + off, req.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      ::close(fd);
-      return std::nullopt;
-    }
-    off += static_cast<size_t>(n);
-  }
-  std::string resp;
-  char buf[8192];
-  for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      ::close(fd);
-      return std::nullopt;
-    }
-    if (n == 0) break;
-    resp.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  size_t sp = resp.find(' ');
-  size_t hdr_end = resp.find("\r\n\r\n");
-  if (sp == std::string::npos || hdr_end == std::string::npos)
-    return std::nullopt;
-  int code = std::atoi(resp.c_str() + sp + 1);
-  return std::make_pair(code, resp.substr(hdr_end + 4));
 }
 
 /// Parse an exposition body into name -> value, checking every line is
@@ -288,7 +246,8 @@ TEST(AdminPlane, HealthzReports503DuringDrain) {
   Client c;
   ASSERT_TRUE(c.connect("127.0.0.1", server.port()));
   ASSERT_TRUE(c.send(inline_request(small_con()).dump()));
-  ASSERT_TRUE(eventually([&] { return server.stats().inflight > 0; }));
+  ASSERT_TRUE(eventually(
+      [&] { return server.metrics().gauge_value("net/inflight") > 0; }));
 
   server.request_shutdown();
   // While the delayed job drains, the admin plane keeps serving and
@@ -356,7 +315,7 @@ TEST(AdminPlane, TracePropagatesClientToRestartTask) {
   // The response echoes the id.
   const JsonValue* echoed = resp->find("trace_id");
   ASSERT_TRUE(echoed && echoed->is_string());
-  EXPECT_EQ(echoed->as_string(), obs::trace_id_hex(trace_id));
+  EXPECT_EQ(echoed->as_string(), hex64(trace_id));
 
   server.stop();
   obs::Tracer::global().set_tracing(false);
@@ -384,7 +343,7 @@ TEST(AdminPlane, TracePropagatesClientToRestartTask) {
 
   // And the Perfetto-loadable export carries it as an arg.
   std::string json = obs::Tracer::global().chrome_trace_json();
-  EXPECT_NE(json.find(obs::trace_id_hex(trace_id)), std::string::npos);
+  EXPECT_NE(json.find(hex64(trace_id)), std::string::npos);
   obs::Tracer::global().clear();
 }
 
@@ -430,7 +389,7 @@ TEST(AdminPlane, SlowRequestLogBreaksDownWallTime) {
   // The traced client's id is carried through to the log line.
   const JsonValue* tid = parsed->find("trace_id");
   ASSERT_TRUE(tid && tid->is_string());
-  EXPECT_EQ(tid->as_string(), obs::trace_id_hex(c.last_trace_id()));
+  EXPECT_EQ(tid->as_string(), hex64(c.last_trace_id()));
 }
 
 #endif  // PICOLA_FAULT_DISABLED

@@ -185,9 +185,10 @@ TEST(ClientRetry, HonorsRetryAfterMsWhenShed) {
   Client occupier;
   ASSERT_TRUE(occupier.connect("127.0.0.1", server.port()));
   ASSERT_TRUE(occupier.send(inline_request(slow_con(), 64).dump()));
-  for (int i = 0; i < 500 && server.stats().frames_in < 1; ++i)
+  const obs::MetricsRegistry& net = server.metrics();
+  for (int i = 0; i < 500 && net.counter_value("net/frames_in") < 1; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  ASSERT_GE(server.stats().frames_in, 1);
+  ASSERT_GE(net.counter_value("net/frames_in"), 1u);
 
   ClientOptions o;
   o.max_retries = 2000;

@@ -445,9 +445,11 @@ TEST(Cluster, ObservesDrainReroutesAndReadmitsAfterRestart) {
   ASSERT_TRUE(occupier.connect("127.0.0.1", port_a));
   ASSERT_TRUE(
       occupier.send(parked_request(gen_con(3, 30, 34), "slow", 16).dump()));
-  for (int i = 0; i < 500 && a->stats().requests_admitted < 1; ++i)
+  const obs::MetricsRegistry& net = a->metrics();
+  for (int i = 0; i < 500 && net.counter_value("net/requests_admitted") < 1;
+       ++i)
     sleep_ms(2);
-  ASSERT_GE(a->stats().requests_admitted, 1);
+  ASSERT_GE(net.counter_value("net/requests_admitted"), 1u);
   a->request_shutdown();
   // Drain closes the main listener; poll until a fresh connect is
   // refused so the draining state is guaranteed visible.
@@ -591,9 +593,11 @@ TEST(Cluster, DrainSnapshotsThePersistCacheBeforeTheFinalReply) {
   Client c;
   ASSERT_TRUE(c.connect("127.0.0.1", server.port()));
   ASSERT_TRUE(c.send(parked_request(gen_con(9, 20, 24), "final", 8).dump()));
-  for (int i = 0; i < 500 && server.stats().requests_admitted < 1; ++i)
+  const obs::MetricsRegistry& net = server.metrics();
+  for (int i = 0; i < 500 && net.counter_value("net/requests_admitted") < 1;
+       ++i)
     sleep_ms(2);
-  ASSERT_GE(server.stats().requests_admitted, 1);
+  ASSERT_GE(net.counter_value("net/requests_admitted"), 1u);
   server.request_shutdown();
 
   auto payload = c.recv();

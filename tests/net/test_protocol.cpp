@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "base/hex.h"
 #include "base/problem_io.h"
 #include "service/service.h"
 
@@ -178,9 +179,7 @@ void expect_round_trip(const EncodeRequest& r) {
   EXPECT_EQ(back->to_json().dump(), text);
 }
 
-/// A parsed problem must be a well-formed constraint set.  The one
-/// exception is a one-state KISS2 machine: it parses to a 1-symbol set
-/// without constraints, which the encoder refuses (`encode_failed`).
+/// A parsed problem must be a well-formed constraint set.
 void check_problem(const std::string& text) {
   std::string error;
   auto p = parse_problem_text(text, &error);
@@ -188,11 +187,7 @@ void check_problem(const std::string& text) {
     EXPECT_FALSE(error.empty());
     return;
   }
-  if (p->set.num_symbols < 2) {
-    EXPECT_TRUE(p->set.constraints.empty());
-  } else {
-    EXPECT_EQ(p->set.validate(), "");
-  }
+  EXPECT_EQ(p->set.validate(), "");
 }
 
 void check_json(const std::string& text) {
@@ -318,6 +313,9 @@ std::vector<std::string> seed_corpus() {
     corpus.push_back(std::string(f) + " --restarts 2 --backend sat\n" + f +
                      "\n# comment\nquit\n");
   }
+  // A one-state machine (found by this test): refused at parse time.
+  corpus.push_back(".i 2\n.o 6\n.p 10\n.s 4\n.r HG\n0- HG HG 100001\n"
+                   "10 HG HG 100001\n");
   corpus.push_back(R"({"path":"a.con","bits":3,"parent_span":"01"})");
   corpus.push_back(R"({"cmd":"peek","fp":"00ff","id":null})");
   return corpus;

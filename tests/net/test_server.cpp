@@ -74,6 +74,14 @@ int64_t int_field(const JsonValue& v, const char* key) {
   return f && f->is_number() ? f->as_int() : -1;
 }
 
+/// A net/* counter or gauge, read from the server's registry.
+uint64_t net_counter(const Server& server, const std::string& name) {
+  return server.metrics().counter_value("net/" + name);
+}
+int64_t net_gauge(const Server& server, const std::string& name) {
+  return server.metrics().gauge_value("net/" + name);
+}
+
 /// Spin until `pred` holds (5 s cap) — for counters the loop thread
 /// updates asynchronously.
 template <typename Pred>
@@ -216,10 +224,9 @@ TEST(NetServer, DeadlineExceededAnswersEarlyAndCancelsJob) {
 
   // The answered-late job must actually unwind: its CancelToken fired and
   // the admission slot frees without the client doing anything else.
-  EXPECT_TRUE(eventually([&] { return server.stats().inflight == 0; }));
-  NetStats s = server.stats();
-  EXPECT_EQ(s.deadline_misses, 1);
-  EXPECT_EQ(s.cancelled_jobs, 1);
+  EXPECT_TRUE(eventually([&] { return net_gauge(server, "inflight") == 0; }));
+  EXPECT_EQ(net_counter(server, "deadline_misses"), 1u);
+  EXPECT_EQ(net_counter(server, "cancelled_jobs"), 1u);
   server.stop();
 }
 
@@ -244,10 +251,31 @@ TEST(NetServer, DeadlineCoversParseAndDerivation) {
   EXPECT_EQ(str_field(*r, "error"), "deadline_exceeded") << r->dump();
   EXPECT_EQ(str_field(*r, "id"), "late");
   EXPECT_EQ(int_field(*r, "deadline_ms"), 1);
-  NetStats s = server.stats();
-  EXPECT_EQ(s.deadline_misses, 1);
-  EXPECT_EQ(s.requests_admitted, 1);
-  EXPECT_EQ(s.inflight, 0);
+  EXPECT_EQ(net_counter(server, "deadline_misses"), 1u);
+  EXPECT_EQ(net_counter(server, "requests_admitted"), 1u);
+  EXPECT_EQ(net_gauge(server, "inflight"), 0);
+  server.stop();
+}
+
+TEST(NetServer, OneStateMachineIsRefusedBeforeAdmission) {
+  // A one-state KISS2 machine derives a 1-symbol set.  Like a `.con`
+  // with `.n 1` it is answered bad_problem at parse time and never
+  // reaches the pool.
+  Server server(base_options());
+  server.start();
+  Client c;
+  ASSERT_TRUE(c.connect("127.0.0.1", server.port()));
+  auto kiss = c.call(inline_request(
+      ".i 2\n.o 6\n.p 2\n.s 1\n.r HG\n0- HG HG 100001\n10 HG HG 100001\n"));
+  ASSERT_TRUE(kiss);
+  EXPECT_EQ(str_field(*kiss, "error"), "bad_problem") << kiss->dump();
+  EXPECT_EQ(str_field(*kiss, "detail"), "need at least 2 symbols");
+  auto con = c.call(inline_request(".n 1\n.e\n"));
+  ASSERT_TRUE(con);
+  EXPECT_EQ(str_field(*con, "error"), "bad_problem") << con->dump();
+  EXPECT_EQ(net_counter(server, "requests_admitted"), 0u);
+  EXPECT_EQ(server.service().metrics().counter_value("service/jobs_submitted"),
+            0u);
   server.stop();
 }
 
@@ -298,10 +326,9 @@ TEST(NetServer, DeadlineCancelsLongSatRun) {
   EXPECT_EQ(str_field(*r, "error"), "deadline_exceeded");
   EXPECT_EQ(str_field(*r, "id"), "slow-sat");
 
-  EXPECT_TRUE(eventually([&] { return server.stats().inflight == 0; }));
-  NetStats s = server.stats();
-  EXPECT_EQ(s.deadline_misses, 1);
-  EXPECT_EQ(s.cancelled_jobs, 1);
+  EXPECT_TRUE(eventually([&] { return net_gauge(server, "inflight") == 0; }));
+  EXPECT_EQ(net_counter(server, "deadline_misses"), 1u);
+  EXPECT_EQ(net_counter(server, "cancelled_jobs"), 1u);
   server.stop();
 }
 
@@ -342,7 +369,7 @@ TEST(NetServer, ShedsAboveMaxInflightWithRetryAfter) {
   EXPECT_EQ(str_field(*ok_json, "id"), "first");
   EXPECT_TRUE(ok_json->find("ok"));
 
-  EXPECT_EQ(server.stats().sheds, 1);
+  EXPECT_EQ(net_counter(server, "sheds"), 1u);
   // After the slot freed, the same request is admitted.
   auto retry = c.call(second);
   ASSERT_TRUE(retry);
@@ -363,7 +390,8 @@ TEST(NetServer, IdleConnectionsAreClosed) {
   // Then we go quiet; the server hangs up on us.
   auto r = c.recv();
   EXPECT_FALSE(r);
-  EXPECT_TRUE(eventually([&] { return server.stats().idle_closed == 1; }));
+  EXPECT_TRUE(
+      eventually([&] { return net_counter(server, "idle_closed") == 1; }));
   server.stop();
 }
 
@@ -384,7 +412,7 @@ TEST(NetServer, OversizedFrameRejectedThenClosed) {
   EXPECT_EQ(int_field(*err, "declared_bytes"), 1000);
   // Framing is lost, so the server closes after flushing the error.
   EXPECT_FALSE(c.recv());
-  EXPECT_EQ(server.stats().frame_errors, 1);
+  EXPECT_EQ(net_counter(server, "frame_errors"), 1u);
   server.stop();
 }
 
@@ -452,7 +480,8 @@ TEST(NetServer, GracefulDrainAnswersInflightThenExits) {
   ASSERT_TRUE(c.send(slow.dump()));
   // Drain only promises to answer *admitted* work, so make sure the
   // request frame was read and admitted before pulling the trigger.
-  ASSERT_TRUE(eventually([&] { return server.stats().requests_admitted == 1; }));
+  ASSERT_TRUE(eventually(
+      [&] { return net_counter(server, "requests_admitted") == 1; }));
 
   // SIGTERM path: request_shutdown() is what the signal handler calls.
   server.request_shutdown();
@@ -504,8 +533,8 @@ TEST(NetServer, DisconnectCancelsOutstandingJobs) {
     // Walk away without reading the answer.
   }
   EXPECT_TRUE(eventually([&] {
-    NetStats s = server.stats();
-    return s.inflight == 0 && s.cancelled_jobs == 1;
+    return net_gauge(server, "inflight") == 0 &&
+           net_counter(server, "cancelled_jobs") == 1;
   }));
   server.stop();
 }

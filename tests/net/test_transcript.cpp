@@ -7,19 +7,33 @@
 // masked parts are the examples directory, the temp directory, wall
 // times, and the `# service:` / `# cluster:` counter lines.
 //
-// On a mismatch the actual transcript is written next to the test's temp
-// files and its path printed, so a deliberate protocol change can be
-// reviewed with diff and the expected file replaced.
+// A second pin (data/stats_views.txt) covers those counter lines and
+// every other stats view after fixed scripts: the `stats` reply frame,
+// stdin serve's `stats` line, batch's `# service:` line and --json
+// "stats" object, `serve --tcp`'s `# net:` / `# service:` exit lines,
+// the `# cluster:` line, and /statusz with and without a cache dir.  It
+// masks only timings (`*_ms`), uptime, snapshot age, build provenance
+// and the scheduling-dependent queue high-water mark.
+//
+// On a mismatch the actual text is written next to the test's temp files
+// and its path printed, so a deliberate change can be reviewed with diff
+// and the expected file replaced.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <regex>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cli/cli.h"
+#include "http_get.h"
 #include "net/client.h"
 #include "net/json.h"
 #include "net/server.h"
@@ -217,6 +231,18 @@ std::string option_error_transcript() {
   return t;
 }
 
+/// Send one request frame and record it with the reply frame it got.
+void exchange(Client& c, const std::string& payload, std::ostream& os) {
+  os << "> " << payload << "\n";
+  std::string error;
+  if (!c.send(payload, &error)) {
+    os << "! " << error << "\n";
+    return;
+  }
+  auto reply = c.recv(&error);
+  os << "< " << (reply ? *reply : "! " + error) << "\n";
+}
+
 /// Raw frames: each request payload and the reply frame it got.
 std::string frame_transcript() {
   std::vector<std::string> requests = {
@@ -278,47 +304,219 @@ std::string frame_transcript() {
   closed.start();
 
   std::ostringstream os;
-  auto exchange = [&os](Client& c, const std::string& payload) {
-    os << "> " << payload << "\n";
-    std::string error;
-    if (!c.send(payload, &error)) {
-      os << "! " << error << "\n";
-      return;
-    }
-    auto reply = c.recv(&error);
-    os << "< " << (reply ? *reply : "! " + error) << "\n";
-  };
   os << "== frames\n";
   Client c;
   EXPECT_TRUE(c.connect("127.0.0.1", server.port()));
-  for (const std::string& r : requests) exchange(c, r);
+  for (const std::string& r : requests) exchange(c, r, os);
   os << "== frames --no-paths\n";
   Client d;
   EXPECT_TRUE(d.connect("127.0.0.1", closed.port()));
-  exchange(d, R"({"id":1,"path":")" + example("overlap.con") + R"("})");
-  exchange(d, R"({"id":2,"con":".n 3\n0 1\n.e\n"})");
+  exchange(d, R"({"id":1,"path":")" + example("overlap.con") + R"("})", os);
+  exchange(d, R"({"id":2,"con":".n 3\n0 1\n.e\n"})", os);
   server.stop();
   closed.stop();
   return os.str();
 }
 
-TEST(Transcript, FrontEndsAndReplyFramesMatchThePinnedBytes) {
-  const std::string actual =
-      mask(stdin_serve_transcript() + batch_transcript() +
-           client_transcript() + cluster_transcript() + frame_transcript() +
-           option_error_transcript());
+// ---- stats views -------------------------------------------------------
+
+/// The stats views' masks: timings, uptime, snapshot age, build
+/// provenance and the queue high-water mark (it depends on how fast the
+/// workers dequeue).
+std::string mask_stats(std::string text) {
+  text = replace_all(text, kExamples, "<examples>");
+  text = replace_all(text, ::testing::TempDir(), "<tmp>/");
+  static const std::pair<std::regex, const char*> rules[] = {
+      {std::regex(R"(("[a-z_]*_ms"):[-0-9.e+]+)"), "$1:<ms>"},
+      {std::regex(R"(("uptime_seconds"|"snapshot_age_seconds"):-?[0-9]+)"),
+       "$1:<s>"},
+      {std::regex(R"("build":\{[^}]*\})"), R"("build":<build>)"},
+      {std::regex(R"("queue_high_water":[0-9]+)"),
+       R"("queue_high_water":<n>)"},
+      {std::regex(R"(queue hwm [0-9]+, [-0-9.e+]+ ms total \(max [-0-9.e+]+)"),
+       "queue hwm <n>, <ms> ms total (max <ms>"},
+  };
+  for (const auto& [re, to] : rules) text = std::regex_replace(text, re, to);
+  return text;
+}
+
+/// Keep a CLI section's header and its stats lines: `# service:`,
+/// `# net:`, `# cluster:`, stdin serve's `stats` line, and the "stats"
+/// object of a batch --json document.
+std::string stats_lines(const std::string& section) {
+  static const std::regex json_stats(R"("stats":\{[^}]*\})");
+  std::istringstream is(section);
+  std::string line, kept;
+  while (std::getline(is, line)) {
+    std::smatch m;
+    if (line.rfind("== ", 0) == 0 || line.rfind("# service:", 0) == 0 ||
+        line.rfind("# net:", 0) == 0 || line.rfind("# cluster:", 0) == 0 ||
+        line.rfind("stats ", 0) == 0)
+      kept += line + "\n";
+    else if (std::regex_search(line, m, json_stats))
+      kept += m.str() + "\n";
+  }
+  return kept;
+}
+
+/// Two distinct encodes, a cached repeat and a bad_request.
+std::vector<std::string> stats_script() {
+  return {
+      R"({"id":1,"path":")" + example("overlap.con") + R"("})",
+      R"({"id":2,"path":")" + example("paper_fig1.con") + R"("})",
+      R"({"id":3,"path":")" + example("overlap.con") + R"("})",
+      R"({"id":4,"path":")" + example("overlap.con") + R"(","restarts":0})",
+  };
+}
+
+/// The same script as request lines.
+std::string stats_script_lines() {
+  return example("overlap.con") + "\n" + example("paper_fig1.con") + "\n" +
+         example("overlap.con") + "\n" + example("overlap.con") +
+         " --restarts 0\n";
+}
+
+/// A stream buffer the CLI thread writes while the test thread reads it.
+/// With no put area every write goes through the lock.
+class SharedOutput : public std::streambuf {
+ public:
+  std::string text() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return text_;
+  }
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      std::lock_guard<std::mutex> lock(mu_);
+      text_ += traits_type::to_char_type(c);
+    }
+    return traits_type::not_eof(c);
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    text_.append(s, static_cast<size_t>(n));
+    return n;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::string text_;
+};
+
+/// The port of the `<what> host:port` line in `text`, or 0.
+uint16_t printed_port(const std::string& text, const std::string& what) {
+  std::smatch m;
+  const std::regex line("(^|\n)" + what + " [0-9.]+:([0-9]+)\n");
+  if (!std::regex_search(text, m, line)) return 0;
+  return static_cast<uint16_t>(std::stoi(m[2].str()));
+}
+
+/// `picola serve --tcp 0 --admin-port 0 --jobs 2 <flags>` on a thread:
+/// the stats script and a `stats` frame over one connection, /statusz,
+/// then `shutdown`, and the exit lines the command prints.
+std::string serve_tcp_stats(const std::vector<std::string>& flags) {
+  std::vector<std::string> args = {"serve", "--tcp",  "0", "--admin-port",
+                                    "0",     "--jobs", "2"};
+  args.insert(args.end(), flags.begin(), flags.end());
+  SharedOutput out_buf;
+  std::ostream out(&out_buf);
+  std::ostringstream err;
+  int rc = -1;
+  std::thread serve([&] {
+    std::istringstream in;
+    rc = cli::run(args, in, out, err);
+  });
+  uint16_t port = 0, admin = 0;
+  for (int i = 0; i < 1000 && admin == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // One read for both: the `admin` line follows the `listening` one.
+    const std::string text = out_buf.text();
+    port = printed_port(text, "listening");
+    admin = printed_port(text, "admin");
+  }
+  std::string title;
+  for (const std::string& a : args) title += (title.empty() ? "" : " ") + a;
+  std::ostringstream os;
+  os << "== " << title << "\n";
+  Client c;
+  std::string error;
+  EXPECT_NE(admin, 0) << out_buf.text();
+  EXPECT_TRUE(c.connect("127.0.0.1", port, &error)) << error;
+  for (const std::string& r : stats_script()) exchange(c, r, os);
+  exchange(c, R"({"id":5,"cmd":"stats"})", os);
+  auto statusz = http_get(admin, "/statusz");
+  os << "-- /statusz\n" << (statusz ? statusz->second : "! no reply") << "\n";
+  exchange(c, R"({"id":6,"cmd":"shutdown"})", os);
+  serve.join();
+  os << "-- exit " << rc << "\n"
+     << stats_lines(out_buf.text()) << "-- stderr\n"
+     << err.str();
+  return os.str();
+}
+
+std::string stats_views_transcript() {
+  std::string t = stats_lines(cli_section(
+      "serve", {"serve", "--jobs", "2"},
+      stats_script_lines() + "stats\nquit\n"));
+
+  std::string list = write_temp(
+      "picola_stats_views.list",
+      example("overlap.con") + "\n" + example("paper_fig1.con") + "\n" +
+          example("microcode.con") + "\nno/such/file.con\n");
+  t += stats_lines(cli_section("batch --cache 1",
+                               {"batch", list, "--jobs", "2", "--cache", "1"},
+                               ""));
+  t += stats_lines(cli_section("batch --json",
+                               {"batch", list, "--jobs", "2", "--json"}, ""));
+
+  Server a(server_options());
+  Server b(server_options());
+  a.start();
+  b.start();
+  const std::string members = "127.0.0.1:" + std::to_string(a.port()) +
+                              ",127.0.0.1:" + std::to_string(b.port());
+  t += stats_lines(cli_section("client --cluster",
+                               {"client", "--cluster", members},
+                               stats_script_lines()));
+  a.stop();
+  b.stop();
+
+  // Without a cache dir, then a cold and a warm run on one.
+  const std::string dir = ::testing::TempDir() + "picola_stats_views_cache";
+  std::filesystem::remove_all(dir);
+  t += serve_tcp_stats({});
+  t += serve_tcp_stats({"--cache-dir", dir});
+  t += serve_tcp_stats({"--cache-dir", dir});
+  std::filesystem::remove_all(dir);
+  return t;
+}
+
+/// Compare `actual` with data/<name>; on a mismatch write it to the temp
+/// dir for review.
+void expect_pinned(const std::string& actual, const std::string& name) {
   const std::string expected_path =
-      std::string(PICOLA_TEST_DATA_DIR) + "/transcript.txt";
+      std::string(PICOLA_TEST_DATA_DIR) + "/" + name;
   std::ifstream in(expected_path);
-  ASSERT_TRUE(in) << "cannot open " << expected_path;
   std::stringstream expected;
-  expected << in.rdbuf();
-  if (actual != expected.str()) {
-    const std::string out_path = ::testing::TempDir() + "transcript.actual";
+  if (in) expected << in.rdbuf();
+  if (!in || actual != expected.str()) {
+    const std::string out_path = ::testing::TempDir() + name + ".actual";
     std::ofstream(out_path) << actual;
-    FAIL() << "transcript differs from " << expected_path
+    FAIL() << name << " differs from " << expected_path
            << "; actual written to " << out_path;
   }
+}
+
+TEST(Transcript, FrontEndsAndReplyFramesMatchThePinnedBytes) {
+  expect_pinned(mask(stdin_serve_transcript() + batch_transcript() +
+                     client_transcript() + cluster_transcript() +
+                     frame_transcript() + option_error_transcript()),
+                "transcript.txt");
+}
+
+TEST(Transcript, StatsViewsMatchThePinnedBytes) {
+  expect_pinned(mask_stats(stats_views_transcript()), "stats_views.txt");
 }
 
 }  // namespace

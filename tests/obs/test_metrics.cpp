@@ -102,6 +102,9 @@ TEST(MetricsRegistryTest, SameNameSameMetric) {
   a.add(3);
   EXPECT_EQ(r.counter_value("x"), 3u);
   EXPECT_EQ(r.counter_value("missing"), 0u);
+  r.gauge("g").set(-4);
+  EXPECT_EQ(r.gauge_value("g"), -4);
+  EXPECT_EQ(r.gauge_value("missing"), 0);
 }
 
 TEST(MetricsRegistryTest, ResetZeroesButKeepsReferencesValid) {

@@ -35,6 +35,11 @@ ConstraintSet crowded_set() {
   return cs;
 }
 
+/// A service/* counter, read from the service's registry.
+uint64_t counter(const EncodingService& service, const std::string& name) {
+  return service.metrics().counter_value("service/" + name);
+}
+
 TEST(RestartPlanTest, SeedsDeriveFromBasePlusIndex) {
   EXPECT_EQ(restart_seed(0, 0), 0u);
   EXPECT_EQ(restart_seed(0, 3), 3u);
@@ -109,12 +114,11 @@ TEST(EncodingServiceTest, ResubmissionHitsCache) {
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.picola.encoding.codes, first.picola.encoding.codes);
   EXPECT_EQ(second.total_cubes, first.total_cubes);
-  ServiceStats s = service.stats();
-  EXPECT_EQ(s.jobs_submitted, 2);
-  EXPECT_EQ(s.jobs_completed, 2);
-  EXPECT_EQ(s.cache_hits, 1);
-  EXPECT_EQ(s.cache_misses, 1);
-  EXPECT_EQ(s.restart_tasks, 3);
+  EXPECT_EQ(counter(service, "jobs_submitted"), 2u);
+  EXPECT_EQ(counter(service, "jobs_completed"), 2u);
+  EXPECT_EQ(counter(service, "cache_hits"), 1u);
+  EXPECT_EQ(counter(service, "cache_misses"), 1u);
+  EXPECT_EQ(counter(service, "restart_tasks"), 3u);
 }
 
 TEST(EncodingServiceTest, PortfolioPostsRestartsPlusOneSatSlot) {
@@ -126,7 +130,7 @@ TEST(EncodingServiceTest, PortfolioPostsRestartsPlusOneSatSlot) {
   port.restarts = 3;
   port.portfolio.backend = portfolio::BackendKind::kPortfolio;
   service.submit(std::move(port)).get();
-  EXPECT_EQ(service.stats().restart_tasks, 4);
+  EXPECT_EQ(counter(service, "restart_tasks"), 4u);
 
   Job anneal;
   anneal.set = paper_set();
@@ -134,7 +138,7 @@ TEST(EncodingServiceTest, PortfolioPostsRestartsPlusOneSatSlot) {
   anneal.portfolio.backend = portfolio::BackendKind::kAnneal;
   JobResult r = service.submit(std::move(anneal)).get();
   EXPECT_EQ(r.backend, portfolio::BackendKind::kAnneal);
-  EXPECT_EQ(service.stats().restart_tasks, 4 + 3);
+  EXPECT_EQ(counter(service, "restart_tasks"), 4u + 3u);
 }
 
 TEST(EncodingServiceTest, PermutedSubmissionHitsCache) {
@@ -168,13 +172,13 @@ TEST(EncodingServiceTest, DuplicateInFlightJobsShareOneComputation) {
   ASSERT_EQ(futures.size(), 6u);
   std::vector<uint32_t> codes = futures[0].get().picola.encoding.codes;
   for (auto& f : futures) EXPECT_EQ(f.get().picola.encoding.codes, codes);
-  ServiceStats s = service.stats();
-  EXPECT_EQ(s.jobs_submitted, 6);
+  EXPECT_EQ(counter(service, "jobs_submitted"), 6u);
   // At most one computation: everything else joined the in-flight job or
   // hit the completed-result cache, depending on scheduling.
-  EXPECT_EQ(s.cache_misses, 1);
-  EXPECT_EQ(s.cache_hits + s.inflight_joins, 5);
-  EXPECT_EQ(s.restart_tasks, 4);
+  EXPECT_EQ(counter(service, "cache_misses"), 1u);
+  EXPECT_EQ(counter(service, "cache_hits") + counter(service, "inflight_joins"),
+            5u);
+  EXPECT_EQ(counter(service, "restart_tasks"), 4u);
 }
 
 TEST(EncodingServiceTest, BatchOfDistinctJobsCompletesAll) {
@@ -197,10 +201,13 @@ TEST(EncodingServiceTest, BatchOfDistinctJobsCompletesAll) {
     EXPECT_EQ(r.picola.encoding.num_symbols, static_cast<int>(i) + 4);
     EXPECT_TRUE(r.picola.encoding.validate().empty());
   }
-  ServiceStats s = service.stats();
-  EXPECT_EQ(s.jobs_completed, 8);
-  EXPECT_EQ(s.cache_misses, 8);
-  EXPECT_GE(s.total_job_ms, s.max_job_ms);
+  EXPECT_EQ(counter(service, "jobs_completed"), 8u);
+  EXPECT_EQ(counter(service, "cache_misses"), 8u);
+  obs::Histogram::Snapshot wall;
+  for (const auto& [name, snap] : service.metrics().histogram_snapshots())
+    if (name == "service/job") wall = snap;
+  EXPECT_EQ(wall.count, 8u);
+  EXPECT_GE(wall.sum, wall.max);
 }
 
 TEST(EncodingServiceTest, StatsCountCacheEvictions) {
@@ -219,11 +226,13 @@ TEST(EncodingServiceTest, StatsCountCacheEvictions) {
   service.submit(b).get();   // miss, evicts a
   JobResult r = service.submit(a).get();  // miss again: a was evicted
   EXPECT_FALSE(r.cache_hit);
-  ServiceStats s = service.stats();
-  EXPECT_EQ(s.cache_misses, 3);
-  EXPECT_EQ(s.cache_hits, 0);
-  EXPECT_EQ(s.inflight_joins, 0);
-  EXPECT_EQ(s.cache_evictions, 2);
+  EXPECT_EQ(counter(service, "cache_misses"), 3u);
+  EXPECT_EQ(counter(service, "cache_hits"), 0u);
+  EXPECT_EQ(counter(service, "inflight_joins"), 0u);
+  EXPECT_EQ(service.cache().stats().evictions, 2);
+  EXPECT_NE(service.stats_json().find("\"cache_evictions\":2,"),
+            std::string::npos);
+  EXPECT_NE(service.stats_line().find(" / 2 evicted, "), std::string::npos);
 }
 
 TEST(EncodingServiceTest, SingleThreadServiceIsStillCorrect) {

@@ -70,7 +70,8 @@ TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
 }
 
 TEST(ThreadPoolTest, BoundedQueueAppliesBackpressure) {
-  ThreadPool pool(1, /*max_queue=*/2);
+  obs::MetricsRegistry metrics;
+  ThreadPool pool(1, /*max_queue=*/2, &metrics);
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
   pool.post([gate]() { gate.wait(); });  // occupy the single worker
@@ -88,7 +89,7 @@ TEST(ThreadPoolTest, BoundedQueueAppliesBackpressure) {
   producer.join();
   pool.wait_idle();
   EXPECT_EQ(posted.load(), 8);
-  EXPECT_LE(pool.queue_high_water(), 2u);
+  EXPECT_LE(metrics.gauge_value("pool/queue_depth_hwm"), 2);
 }
 
 TEST(ThreadPoolTest, WaitIdleWaitsForExecutingTasks) {
@@ -106,14 +107,15 @@ TEST(ThreadPoolTest, WaitIdleWaitsForExecutingTasks) {
 }
 
 TEST(ThreadPoolTest, TracksQueueHighWater) {
-  ThreadPool pool(1);
+  obs::MetricsRegistry metrics;
+  ThreadPool pool(1, 0, &metrics);
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
   pool.post([gate]() { gate.wait(); });
   for (int i = 0; i < 5; ++i) pool.post([]() {});
   release.set_value();
   pool.wait_idle();
-  EXPECT_GE(pool.queue_high_water(), 5u);
+  EXPECT_GE(metrics.gauge_value("pool/queue_depth_hwm"), 5);
 }
 
 
@@ -192,7 +194,7 @@ TEST(ThreadPoolTest, ContentionMetricsTrackQueueAndActiveThreads) {
   EXPECT_EQ(metrics.gauge("pool/active_threads").value(), 0);
   EXPECT_EQ(metrics.gauge("pool/queue_depth").value(), 0);
   EXPECT_GE(metrics.gauge("pool/queue_depth_hwm").value(), 2);
-  EXPECT_EQ(pool.queue_high_water(), 2u);  // ServiceStats view unchanged
+  EXPECT_EQ(metrics.gauge_value("pool/queue_depth_hwm"), 2);  // exact
 
   // Every executed task recorded one queue-wait sample, and the parked
   // tasks demonstrably waited.

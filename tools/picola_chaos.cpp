@@ -95,6 +95,7 @@
 #include "net/client.h"
 #include "net/cluster.h"
 #include "net/json.h"
+#include "net/protocol.h"
 #include "net/server.h"
 #include "persist/io.h"
 #include "persist/store.h"
@@ -198,12 +199,13 @@ std::vector<std::string> make_workload() {
   return cons;
 }
 
-JsonValue encode_request(const std::string& con, int64_t id) {
-  JsonValue r = JsonValue::make_object();
-  r.set("con", JsonValue::make_string(con));
-  r.set("id", JsonValue::make_int(id));
-  r.set("restarts", JsonValue::make_int(2));
-  return r;
+JsonValue encode_request(const std::string& con, int64_t id,
+                         int restarts = 2) {
+  picola::net::EncodeRequest r;
+  r.id = JsonValue::make_int(id);
+  r.con = con;
+  r.restarts = restarts;
+  return r.to_json();
 }
 
 int64_t int_field(const JsonValue& v, const char* key, int64_t dflt = -1) {
@@ -987,9 +989,8 @@ ClusterResult run_cluster_schedule(const char* exe,
       if (graceful) {
         std::string oerr;
         if (occupier.connect("127.0.0.1", nodes[victim].port, &oerr)) {
-          JsonValue park = encode_request(parking_con, 1);
-          park.set("restarts", JsonValue::make_int(48));
-          parked = occupier.send(park.dump(), &oerr);
+          parked = occupier.send(encode_request(parking_con, 1, 48).dump(),
+                                 &oerr);
         }
         usleep(2'000);  // let the parked job be admitted
         kill(nodes[victim].proc.pid, SIGTERM);
