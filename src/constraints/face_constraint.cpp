@@ -10,11 +10,21 @@ bool FaceConstraint::contains(int symbol) const {
   return std::binary_search(members.begin(), members.end(), symbol);
 }
 
-std::vector<int> FaceConstraint::intersect(const FaceConstraint& other) const {
-  std::vector<int> out;
-  std::set_intersection(members.begin(), members.end(), other.members.begin(),
-                        other.members.end(), std::back_inserter(out));
-  return out;
+int FaceConstraint::common_members(const FaceConstraint& other) const {
+  int common = 0;
+  auto a = members.begin(), b = other.members.begin();
+  while (a != members.end() && b != other.members.end()) {
+    if (*a < *b) {
+      ++a;
+    } else if (*b < *a) {
+      ++b;
+    } else {
+      ++common;
+      ++a;
+      ++b;
+    }
+  }
+  return common;
 }
 
 std::string FaceConstraint::to_string() const {

@@ -19,8 +19,9 @@ struct FaceConstraint {
   int size() const { return static_cast<int>(members.size()); }
   bool contains(int symbol) const;
 
-  /// Members common to both constraints (the "son constraint" of §3.3.1).
-  std::vector<int> intersect(const FaceConstraint& other) const;
+  /// Number of members common to both constraints: the size of the "son
+  /// constraint" of §3.3.1.
+  int common_members(const FaceConstraint& other) const;
 
   bool operator==(const FaceConstraint& o) const {
     return members == o.members;

@@ -101,7 +101,7 @@ std::vector<int> classify_infeasible(const ConstraintMatrix& m) {
     if (!bad) {
       for (int a : satisfied) {
         const FaceConstraint& ca = m.constraint(a);
-        int son = static_cast<int>(ca.intersect(ck).size());
+        int son = ca.common_members(ck);
         if (!nv_compatible(ca.size(), m.min_super_dim(a), ck.size(), dim_k,
                            son, nv, n)) {
           bad = true;

@@ -52,8 +52,10 @@ struct PicolaOptions {
   /// deterministic lowest-index rule.
   uint64_t tie_break_seed = 0;
   /// Run the src/check verifier during the encode: each Solve() column is
-  /// checked against the prefix-capacity invariant and the finished run
-  /// against the full from-scratch replay (check::verify_run).  Violations
+  /// checked against the prefix-capacity invariant and against the
+  /// per-symbol reference solver (check::reference_solve_column, bit for
+  /// bit), and the finished run against the full from-scratch replay
+  /// (check::verify_run).  Violations
   /// bump the check/* counters in the global MetricsRegistry and raise
   /// check::SelfCheckError.  Off by default; when off the cost is a single
   /// branch per column.

@@ -2,12 +2,12 @@
 
 #include <sstream>
 
-// The git sha and sanitizer mode are injected per-file from
-// src/CMakeLists.txt so only this translation unit rebuilds when HEAD
-// moves.
-#ifndef PICOLA_GIT_SHA
-#define PICOLA_GIT_SHA "unknown"
-#endif
+// The git sha comes from a header the build rewrites whenever HEAD moves
+// (src/obs/git_sha.cmake) and the sanitizer mode from a per-file define
+// (src/CMakeLists.txt), so only this translation unit rebuilds when
+// either changes.
+#include "picola_git_sha.h"
+
 #ifndef PICOLA_SANITIZE_NAME
 #define PICOLA_SANITIZE_NAME "OFF"
 #endif

@@ -11,7 +11,7 @@ namespace picola::obs {
 
 struct BuildInfo {
   const char* version;    ///< release train, bumped per PR sequence
-  const char* git_sha;    ///< short sha at configure time, "unknown" outside git
+  const char* git_sha;    ///< short sha of the built checkout, "unknown" outside git
   const char* sanitizer;  ///< PICOLA_SANITIZE value ("OFF", "address", "thread")
   bool obs_compiled;      ///< false under -DPICOLA_OBS_DISABLED
   bool fault_compiled;    ///< false under -DPICOLA_FAULT_DISABLED

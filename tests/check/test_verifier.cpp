@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "check/reference_column.h"
 #include "check/verifier.h"
+#include "constraints/derive.h"
 #include "core/picola.h"
+#include "kiss/benchmarks.h"
 #include "obs/metrics.h"
 
 namespace picola {
@@ -123,6 +126,41 @@ TEST(Verifier, EnforceThrowsAndCounts) {
   EXPECT_EQ(reg.counter("check/violations").value(), before + 1);
   EXPECT_GE(reg.counter("check/test_phase_violations").value(), uint64_t{1});
   EXPECT_NO_THROW(check::enforce(check::VerifyReport{}, "test_phase"));
+}
+
+TEST(Verifier, ColumnReferenceNamesTheFirstDifferingSymbol) {
+  ConstraintSet cs = paper_constraints();
+  ConstraintMatrix m(cs, 4);
+  std::vector<uint32_t> prefixes(15, 0);
+  PicolaOptions opt;
+  std::vector<int> bits = detail::solve_column(m, prefixes, 0, opt);
+  EXPECT_TRUE(
+      check::verify_column_reference(bits, m, prefixes, 0, opt).ok());
+  bits[6] ^= 1;
+  bits[9] ^= 1;
+  check::VerifyReport rep =
+      check::verify_column_reference(bits, m, prefixes, 0, opt);
+  ASSERT_EQ(rep.violations.size(), 1u);
+  EXPECT_NE(rep.violations[0].find("symbol 6 "), std::string::npos)
+      << rep.to_string();
+}
+
+TEST(Verifier, SelfCheckHoldsEveryColumnToTheReferenceOnTableOne) {
+  // Under self_check picola_encode diffs every Solve() column against
+  // check::reference_solve_column and counts a mismatch in
+  // check/column_reference_violations before throwing.
+  auto& mismatches = obs::MetricsRegistry::global().counter(
+      "check/column_reference_violations");
+  const uint64_t before = mismatches.value();
+  for (const std::string& name : table1_benchmarks()) {
+    ConstraintSet cs = derive_face_constraints(make_benchmark(name)).set;
+    for (int r = 0; r < 4; ++r) {
+      PicolaOptions opt = picola_restart_options({}, r);
+      opt.self_check = true;
+      EXPECT_NO_THROW(picola_encode(cs, opt)) << name << " restart " << r;
+    }
+  }
+  EXPECT_EQ(mismatches.value(), before);
 }
 
 }  // namespace

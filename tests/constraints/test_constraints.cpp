@@ -14,7 +14,11 @@ TEST(FaceConstraint, ContainsAndIntersect) {
   EXPECT_FALSE(a.contains(2));
   FaceConstraint b;
   b.members = {3, 4, 5};
-  EXPECT_EQ(a.intersect(b), (std::vector<int>{3, 5}));
+  EXPECT_EQ(a.common_members(b), 2);  // {3, 5}
+  EXPECT_EQ(b.common_members(a), 2);
+  FaceConstraint c;
+  c.members = {0, 2};
+  EXPECT_EQ(a.common_members(c), 0);
 }
 
 TEST(ConstraintSet, AddSortsDedupsAndDropsTrivial) {

@@ -1,9 +1,11 @@
 // Differential fuzz harness (ISSUE: self-check verifier subsystem).
 //
 // Streams seeded deterministic instances (check/instance_gen.h) through
-// picola_encode with PicolaOptions::self_check on — every column and the
-// finished run pass the from-scratch verifier — and differential-tests
-// small instances against the exact brute-force oracle (check/oracle.h):
+// picola_encode with PicolaOptions::self_check on — every column equals
+// the per-symbol reference solver's (check/reference_column.h) bit for
+// bit, and every column and the finished run pass the from-scratch
+// verifier — and differential-tests small instances against the exact
+// brute-force oracle (check/oracle.h):
 //
 //  * determinism: the same options reproduce bit-identical codes, with
 //    and without random tie-breaking;
