@@ -7,11 +7,11 @@
 #include <optional>
 #include <string>
 
+#include "check/oracle.h"
 #include "constraints/derive.h"
 #include "core/picola.h"
 #include "encoders/annealing.h"
 #include "encoders/enc_like.h"
-#include "encoders/exact.h"
 #include "encoders/nova_like.h"
 #include "encoders/trivial.h"
 #include "eval/constraint_eval.h"
@@ -76,8 +76,10 @@ int main() {
 
     // Exact oracle on the tiny problems.
     if (n <= 8) {
-      ExactResult ex = exact_encode(cs);
-      exact_cubes += ex.best_cost;
+      check::OracleOptions o;
+      o.max_candidates = check::kExactEncoderCandidates;
+      o.min_cubes = true;
+      exact_cubes += check::oracle_solve(cs, 0, o).min_total_cubes;
       ++exact_solved;
       picola_on_exact +=
           evaluate_constraints(cs, picola_encode(cs).encoding).total_cubes;

@@ -48,11 +48,9 @@ OracleResult oracle_solve(const ConstraintSet& cs, int nv,
   if (cs.size() > 64)
     throw std::invalid_argument("oracle_solve: more than 64 constraints");
   const int n = cs.num_symbols;
-  if (nv <= 0) nv = Encoding::min_bits(n);
+  nv = Encoding::resolve_bits(n, nv, "oracle_solve");
   if (nv > 20) throw std::invalid_argument("oracle_solve: nv too large");
   const int cells = 1 << nv;
-  if (cells < n)
-    throw std::invalid_argument("oracle_solve: code length too small");
   if (count_pinned_assignments(cells, n, opt.max_candidates) >
       opt.max_candidates)
     throw std::invalid_argument("oracle_solve: search space too large");
@@ -63,25 +61,25 @@ OracleResult oracle_solve(const ConstraintSet& cs, int nv,
   e.codes.assign(static_cast<size_t>(n), 0);
 
   OracleResult res;
-  bool have_cubes = false;
   std::vector<bool> used(static_cast<size_t>(cells), false);
   e.codes[0] = 0;  // column complementation symmetry: pin symbol 0
   used[0] = true;
 
   auto evaluate = [&]() {
-    ++res.candidates;
+    const bool first = res.candidates++ == 0;
     uint64_t mask = satisfied_mask(cs, e);
     res.satisfiable_mask |= mask;
     int sat = std::popcount(mask);
-    if (sat > res.max_satisfied) {
+    if (first || sat > res.max_satisfied) {
       res.max_satisfied = sat;
       res.best_satisfied_mask = mask;
+      res.max_satisfied_encoding = e;
     }
     if (opt.min_cubes) {
       int cubes = evaluate_constraints(cs, e).total_cubes;
-      if (!have_cubes || cubes < res.min_total_cubes) {
-        have_cubes = true;
+      if (first || cubes < res.min_total_cubes) {
         res.min_total_cubes = cubes;
+        res.min_cubes_encoding = e;
       }
     }
   };

@@ -9,7 +9,12 @@
 //
 //  * which constraints are satisfiable at all (individually),
 //  * the true maximum number of simultaneously satisfiable constraints,
-//  * optionally the minimum espresso-evaluated total cube count.
+//    with a witness encoding,
+//  * optionally the minimum espresso-evaluated total cube count, with a
+//    witness encoding.
+//
+// It is also the exact encoder (`picola encode --algorithm exact`,
+// bench/encoder_comparison): the witnesses are optimal encodings.
 //
 // satisfiable_with_prefix() answers the sharper mid-run question — can a
 // constraint still be satisfied once the first t columns are committed? —
@@ -26,6 +31,9 @@
 
 namespace picola::check {
 
+/// The candidate cap the exact encoder runs the oracle with.
+inline constexpr long kExactEncoderCandidates = 2'000'000;
+
 struct OracleOptions {
   /// Refuse instances whose pinned enumeration would exceed this many
   /// candidate encodings (8 symbols in 3 bits = 5040).
@@ -39,18 +47,24 @@ struct OracleResult {
   /// Bit k set when constraint k alone is satisfiable by some encoding.
   uint64_t satisfiable_mask = 0;
   /// Maximum simultaneously satisfiable constraint count, with a witness
-  /// subset (as a bit mask) achieving it.
+  /// subset (as a bit mask) achieving it and the first encoding in
+  /// enumeration order that does.
   int max_satisfied = 0;
   uint64_t best_satisfied_mask = 0;
-  /// Minimum total espresso cubes over all encodings (min_cubes only).
+  Encoding max_satisfied_encoding;
+  /// Minimum total espresso cubes over all encodings, and the first
+  /// encoding in enumeration order that reaches it (min_cubes only).
   int min_total_cubes = 0;
+  Encoding min_cubes_encoding;
   long candidates = 0;  ///< encodings enumerated
 };
 
 /// Exhaustive ground truth over every nv-bit encoding of the set's
-/// symbols, up to column complementation.  nv = 0 picks the minimum
-/// length.  Requires a validated set with at most 64 constraints; throws
-/// std::invalid_argument when the search space exceeds max_candidates.
+/// symbols, up to column complementation, enumerated depth first with
+/// symbol 1's code varying slowest.  nv = 0 picks the minimum length.
+/// Requires a validated set with at most 64 constraints; throws
+/// std::invalid_argument for a length Encoding::resolve_bits refuses,
+/// nv above 20, or a search space over max_candidates.
 OracleResult oracle_solve(const ConstraintSet& cs, int nv = 0,
                           const OracleOptions& opt = {});
 

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "base/problem_io.h"
+#include "check/oracle.h"
 #include "constraints/constraint_io.h"
 #include "constraints/derive.h"
 #include "constraints/dichotomy.h"
@@ -21,7 +22,6 @@
 #include "pla/mv_pla.h"
 #include "encoders/annealing.h"
 #include "encoders/enc_like.h"
-#include "encoders/exact.h"
 #include "encoders/nova_like.h"
 #include "encoders/trivial.h"
 #include "espresso/exact.h"
@@ -63,27 +63,40 @@ std::optional<ParsedArgs> parse_args(const std::vector<std::string>& args,
     return std::nullopt;
   }
   p.command = args[0];
+  // Every option any command reads.  An option outside both lists is
+  // refused here, so a mistyped or removed one cannot pass silently, nor
+  // leave its value to be read as a positional argument.
+  static const char* kValued[] = {"--algorithm", "--bits", "--seed",
+                                  "--output", "--var",
+                                  "--blif", "--jobs", "--restarts",
+                                  "--cache", "--trace",
+                                  "--tcp", "--bind", "--max-inflight",
+                                  "--admin-port", "--slow-ms",
+                                  "--idle-timeout-ms", "--max-frame-bytes",
+                                  "--retry-after-ms", "--deadline-ms",
+                                  "--retries", "--timeout-ms",
+                                  "--backend", "--sat-conflicts",
+                                  "--cache-dir", "--snapshot-interval",
+                                  "--peers", "--self",
+                                  "--peer-timeout-ms", "--cluster",
+                                  "--hedge-ms"};
+  static const char* kFlags[] = {"--exact", "--inline", "--json",
+                                 "--metrics", "--minimize-states",
+                                 "--no-paths", "--no-peer-forward", "--poll",
+                                 "--quiet", "--raw-table", "--self-check",
+                                 "--selectors", "--single-pass",
+                                 "--stats-json"};
   for (size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a.rfind("--", 0) == 0 || a == "-o") {
       std::string key = a == "-o" ? "--output" : a;
-      static const char* kValued[] = {"--algorithm", "--bits", "--seed",
-                                      "--output", "--steps", "--var",
-                                      "--blif", "--jobs", "--restarts",
-                                      "--cache", "--trace",
-                                      "--tcp", "--bind", "--max-inflight",
-                                      "--admin-port", "--slow-ms",
-                                      "--idle-timeout-ms", "--max-frame-bytes",
-                                      "--retry-after-ms", "--deadline-ms",
-                                      "--retries", "--timeout-ms",
-                                      "--backend", "--card", "--distinct",
-                                      "--sweep", "--sat-conflicts",
-                                      "--cache-dir", "--snapshot-interval",
-                                      "--peers", "--self",
-                                      "--peer-timeout-ms", "--cluster",
-                                      "--hedge-ms"};
-      bool valued = false;
+      bool valued = false, flag = false;
       for (const char* v : kValued) valued |= key == v;
+      for (const char* f : kFlags) flag |= key == f;
+      if (!valued && !flag) {
+        err << "unknown option " << a << "\n";
+        return std::nullopt;
+      }
       if (valued) {
         if (i + 1 >= args.size()) {
           err << "option " << a << " needs a value\n";
@@ -208,53 +221,52 @@ std::optional<Problem> load_problem(const std::string& path,
   return p;
 }
 
+/// Runs one `--algorithm` encoder; nullopt (after its message) when it
+/// throws, e.g. on a code length Encoding::resolve_bits refuses.
 std::optional<Encoding> run_algorithm(const std::string& algo,
                                       const ConstraintSet& set, int bits,
                                       uint64_t seed, bool self_check,
                                       std::ostream& err,
                                       PicolaStats* stats_out = nullptr) {
-  if (algo == "picola" || algo == "picola-best") {
-    PicolaOptions o;
-    o.num_bits = bits;
-    o.self_check = self_check;
-    try {
+  try {
+    if (algo == "picola" || algo == "picola-best") {
+      PicolaOptions o;
+      o.num_bits = bits;
+      o.self_check = self_check;
       PicolaResult r = algo == "picola" ? picola_encode(set, o)
                                         : picola_encode_best(set, 8, o);
       if (stats_out) *stats_out = r.stats;
       return r.encoding;
-    } catch (const std::exception& e) {
-      err << e.what() << "\n";
-      return std::nullopt;
     }
-  }
-  if (algo == "nova") {
-    NovaLikeOptions o;
-    o.num_bits = bits;
-    return nova_like_encode(set, o).encoding;
-  }
-  if (algo == "enc") {
-    EncLikeOptions o;
-    o.num_bits = bits;
-    return enc_like_encode(set, o).encoding;
-  }
-  if (algo == "anneal") {
-    AnnealingOptions o;
-    o.num_bits = bits;
-    o.seed = seed;
-    return annealing_encode(set, o).encoding;
-  }
-  if (algo == "sequential") return sequential_encoding(set.num_symbols, bits);
-  if (algo == "gray") return gray_encoding(set.num_symbols, bits);
-  if (algo == "random") return random_encoding(set.num_symbols, seed, bits);
-  if (algo == "exact") {
-    ExactOptions o;
-    o.num_bits = bits;
-    try {
-      return exact_encode(set, o).encoding;
-    } catch (const std::invalid_argument& e) {
-      err << e.what() << "\n";
-      return std::nullopt;
+    if (algo == "nova") {
+      NovaLikeOptions o;
+      o.num_bits = bits;
+      return nova_like_encode(set, o).encoding;
     }
+    if (algo == "enc") {
+      EncLikeOptions o;
+      o.num_bits = bits;
+      return enc_like_encode(set, o).encoding;
+    }
+    if (algo == "anneal") {
+      AnnealingOptions o;
+      o.num_bits = bits;
+      o.seed = seed;
+      return annealing_encode(set, o).encoding;
+    }
+    if (algo == "sequential") return sequential_encoding(set.num_symbols, bits);
+    if (algo == "gray") return gray_encoding(set.num_symbols, bits);
+    if (algo == "random") return random_encoding(set.num_symbols, seed, bits);
+    if (algo == "exact") {
+      // The minimum-cube witness of the exhaustive oracle.
+      check::OracleOptions o;
+      o.max_candidates = check::kExactEncoderCandidates;
+      o.min_cubes = true;
+      return check::oracle_solve(set, bits, o).min_cubes_encoding;
+    }
+  } catch (const std::exception& e) {
+    err << e.what() << "\n";
+    return std::nullopt;
   }
   err << "unknown algorithm " << algo << " (picola picola-best nova enc "
       << "anneal sequential gray random exact)\n";
@@ -550,10 +562,9 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-/// Parses the backend-selection knobs shared by encode, batch, serve and
-/// client: --backend picola|sat|anneal|portfolio, --card
-/// pairwise|sequential|commander, --distinct difference|indicator|lazy,
-/// --sweep descending|binary|scratch, --sat-conflicts N.
+/// Parses the backend-selection knobs shared by encode, batch and serve:
+/// --backend picola|sat|anneal|portfolio, --sat-conflicts N, and --seed
+/// (the annealer's base seed).
 bool parse_portfolio_args(const ParsedArgs& a, portfolio::PortfolioOptions* p,
                           std::ostream& err) {
   if (a.options.count("--backend")) {
@@ -563,30 +574,6 @@ bool parse_portfolio_args(const ParsedArgs& a, portfolio::PortfolioOptions* p,
       return false;
     }
     p->backend = *k;
-  }
-  if (a.options.count("--card")) {
-    auto c = sat::parse_card_encoding(a.options.at("--card"));
-    if (!c) {
-      err << "bad --card value (pairwise sequential commander)\n";
-      return false;
-    }
-    p->sat_card = *c;
-  }
-  if (a.options.count("--distinct")) {
-    auto d = sat::parse_distinct_encoding(a.options.at("--distinct"));
-    if (!d) {
-      err << "bad --distinct value (difference indicator lazy)\n";
-      return false;
-    }
-    p->sat_distinct = *d;
-  }
-  if (a.options.count("--sweep")) {
-    auto s = sat::parse_sweep_mode(a.options.at("--sweep"));
-    if (!s) {
-      err << "bad --sweep value (descending binary scratch)\n";
-      return false;
-    }
-    p->sat_sweep = *s;
   }
   if (!int_option(a, "--sat-conflicts", 0, INT_MAX, &p->sat_max_conflicts,
                   err))
@@ -1230,11 +1217,9 @@ int cmd_info(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
   }
 }
 
-/// `picola sat-export FILE [--bits N] [--card E] [--distinct D]
-/// [--selectors] [-o OUT]` — write the SAT reduction of an encoding
-/// problem as DIMACS CNF, for diffing the in-tree solver against
-/// external ones.  --distinct difference (default) | indicator; lazy has
-/// no static clause form, so it cannot be exported.
+/// `picola sat-export FILE [--bits N] [--selectors] [-o OUT]` — write
+/// the SAT reduction of an encoding problem as DIMACS CNF, for diffing
+/// the in-tree solver against external ones.
 int cmd_sat_export(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
   if (a.positional.size() != 1) {
     err << "sat-export needs one input file\n";
@@ -1245,22 +1230,6 @@ int cmd_sat_export(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
   int bits = Encoding::min_bits(problem->set.num_symbols);
   if (!int_option(a, "--bits", 1, INT_MAX, &bits, err)) return 2;
   sat::ReductionOptions ro;
-  if (a.options.count("--card")) {
-    auto c = sat::parse_card_encoding(a.options.at("--card"));
-    if (!c) {
-      err << "bad --card value (pairwise sequential commander)\n";
-      return 2;
-    }
-    ro.card = *c;
-  }
-  if (a.options.count("--distinct")) {
-    auto d = sat::parse_distinct_encoding(a.options.at("--distinct"));
-    if (!d || *d == sat::DistinctEncoding::kLazy) {
-      err << "bad --distinct value (difference indicator)\n";
-      return 2;
-    }
-    ro.distinct = *d;
-  }
   ro.with_selectors = a.options.count("--selectors") != 0;
   sat::FaceCnf fc;
   try {
@@ -1273,10 +1242,8 @@ int cmd_sat_export(const ParsedArgs& a, std::ostream& out, std::ostream& err) {
   comments.push_back("picola sat-export " + a.positional[0]);
   {
     std::ostringstream c;
-    c << "n=" << problem->set.num_symbols << " bits=" << bits << " card="
-      << sat::card_encoding_name(ro.card) << " distinct="
-      << sat::distinct_encoding_name(ro.distinct) << " constraints="
-      << problem->set.size();
+    c << "n=" << problem->set.num_symbols << " bits=" << bits
+      << " constraints=" << problem->set.size();
     comments.push_back(c.str());
   }
   comments.push_back("bit b of symbol s is DIMACS variable 1 + s*bits + b");

@@ -294,19 +294,7 @@ PicolaResult picola_encode(const ConstraintSet& cs, const PicolaOptions& opt) {
     throw std::invalid_argument("picola_encode: need at least 2 symbols");
   if (std::string e = cs.validate(); !e.empty())
     throw std::invalid_argument("picola_encode: " + e);
-  if (opt.num_bits < 0)
-    throw std::invalid_argument("picola_encode: negative code length");
-  // Codes are uint32_t, so 31 is the longest representable code; anything
-  // above used to silently truncate the accumulated prefix.
-  if (opt.num_bits > 31)
-    throw std::invalid_argument("picola_encode: code length " +
-                                std::to_string(opt.num_bits) +
-                                " exceeds 31 bits");
-  const int nv = opt.num_bits > 0 ? opt.num_bits : Encoding::min_bits(n);
-  if ((1L << nv) < n)
-    throw std::invalid_argument(
-        "picola_encode: code length " + std::to_string(nv) +
-        " too small for " + std::to_string(n) + " symbols");
+  const int nv = Encoding::resolve_bits(n, opt.num_bits, "picola_encode");
 
   ConstraintMatrix m(cs, nv);
   detail::ColumnSolver solver;

@@ -1,5 +1,6 @@
 #include "encoders/annealing.h"
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
@@ -46,16 +47,20 @@ double local_score(const ConstraintSet& cs, const Encoding& enc, int a, int b) {
 AnnealingResult annealing_encode(const ConstraintSet& cs,
                                  const AnnealingOptions& opt) {
   const int n = cs.num_symbols;
-  const int nv = opt.num_bits > 0 ? opt.num_bits : Encoding::min_bits(n);
+  const int nv = Encoding::resolve_bits(n, opt.num_bits, "annealing_encode");
   std::mt19937_64 rng(opt.seed);
 
   AnnealingResult result;
   Encoding enc = sequential_encoding(n, nv);
-  const uint32_t cells = uint32_t{1} << nv;
-
-  // Occupancy map for move-to-free-code moves.
-  std::vector<int> occupant(cells, -1);
-  for (int s = 0; s < n; ++s) occupant[enc.code(s)] = s;
+  const uint64_t cells = uint64_t{1} << nv;
+  // The symbol holding `code`, or -1 for a free code.  A scan of the n
+  // codes: memory stays O(n) at any code length, and each move's two
+  // local_score passes cost O(n) per constraint anyway.
+  auto occupant = [&enc](uint32_t code) {
+    auto it = std::find(enc.codes.begin(), enc.codes.end(), code);
+    return it == enc.codes.end() ? -1
+                                 : static_cast<int>(it - enc.codes.begin());
+  };
 
   double score = weighted_dichotomy_score(cs, enc);
   Encoding best = enc;
@@ -71,20 +76,14 @@ AnnealingResult annealing_encode(const ConstraintSet& cs,
       ++result.moves_tried;
       int a = static_cast<int>(rng() % static_cast<uint64_t>(n));
       uint32_t target = static_cast<uint32_t>(rng() % cells);
-      int b = occupant[target];
+      int b = occupant(target);
       if (b == a) continue;
 
       double before = local_score(cs, enc, a, b);
       uint32_t code_a = enc.code(a);
       // Apply: swap with occupant, or move to the free code.
       enc.codes[static_cast<size_t>(a)] = target;
-      occupant[target] = a;
-      if (b >= 0) {
-        enc.codes[static_cast<size_t>(b)] = code_a;
-        occupant[code_a] = b;
-      } else {
-        occupant[code_a] = -1;
-      }
+      if (b >= 0) enc.codes[static_cast<size_t>(b)] = code_a;
       double after = local_score(cs, enc, a, b);
       double delta = after - before;
       if (delta >= 0 || unit(rng) < std::exp(delta / t)) {
@@ -97,13 +96,7 @@ AnnealingResult annealing_encode(const ConstraintSet& cs,
       } else {
         // Revert.
         enc.codes[static_cast<size_t>(a)] = code_a;
-        occupant[code_a] = a;
-        if (b >= 0) {
-          enc.codes[static_cast<size_t>(b)] = target;
-          occupant[target] = b;
-        } else {
-          occupant[target] = -1;
-        }
+        if (b >= 0) enc.codes[static_cast<size_t>(b)] = target;
       }
     }
   }

@@ -34,6 +34,8 @@ struct AnnealingResult {
   long moves_accepted = 0;
 };
 
+/// Throws std::invalid_argument for a num_bits Encoding::resolve_bits
+/// refuses.  Memory is O(n) at any code length up to 31 bits.
 AnnealingResult annealing_encode(const ConstraintSet& cs,
                                  const AnnealingOptions& opt = {});
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <sstream>
+#include <stdexcept>
 
 namespace picola {
 
@@ -14,6 +15,21 @@ int Encoding::min_bits(int num_symbols) {
   int bits = 1;
   while ((1L << bits) < num_symbols) ++bits;  // long: no UB at bits == 31
   return bits;
+}
+
+int Encoding::resolve_bits(int num_symbols, int num_bits, const char* who,
+                           bool allow_short) {
+  auto fail = [who](const std::string& what) {
+    throw std::invalid_argument(std::string(who) + ": " + what);
+  };
+  if (num_bits < 0) fail("negative code length");
+  if (num_bits > 31)
+    fail("code length " + std::to_string(num_bits) + " exceeds 31 bits");
+  const int nv = num_bits > 0 ? num_bits : min_bits(num_symbols);
+  if (!allow_short && (1L << nv) < num_symbols)
+    fail("code length " + std::to_string(nv) + " too small for " +
+         std::to_string(num_symbols) + " symbols");
+  return nv;
 }
 
 std::string Encoding::validate() const {

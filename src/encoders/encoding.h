@@ -39,6 +39,15 @@ struct Encoding {
   /// Minimum code length for n symbols: ceil(log2 n) (1 for n <= 2).
   static int min_bits(int num_symbols);
 
+  /// The code length an encoder of `num_symbols` symbols runs at: the
+  /// requested `num_bits`, or min_bits(num_symbols) when it is 0.  Every
+  /// encoder resolves its length here.  Throws std::invalid_argument,
+  /// its message prefixed "<who>: ", when the request is negative, above
+  /// 31 (codes are uint32_t), or — unless `allow_short` — too short to
+  /// give every symbol its own code.
+  static int resolve_bits(int num_symbols, int num_bits, const char* who,
+                          bool allow_short = false);
+
   /// "" when the encoding is structurally valid: the right number of
   /// distinct codes, each within num_bits.
   std::string validate() const;

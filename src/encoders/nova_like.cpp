@@ -148,7 +148,7 @@ double adjacency_cost(const Encoding& e,
 NovaLikeResult nova_like_encode(const ConstraintSet& cs,
                                 const NovaLikeOptions& opt) {
   const int n = cs.num_symbols;
-  const int nv = opt.num_bits > 0 ? opt.num_bits : Encoding::min_bits(n);
+  const int nv = Encoding::resolve_bits(n, opt.num_bits, "nova_like_encode");
   Embedder emb(n, nv);
   NovaLikeResult result;
 

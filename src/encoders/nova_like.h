@@ -49,6 +49,8 @@ struct NovaLikeResult {
   int skipped_constraints = 0;
 };
 
+/// Throws std::invalid_argument for a num_bits Encoding::resolve_bits
+/// refuses.
 NovaLikeResult nova_like_encode(const ConstraintSet& cs,
                                 const NovaLikeOptions& opt = {});
 

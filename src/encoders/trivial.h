@@ -1,7 +1,8 @@
 #pragma once
 // Trivial reference encoders: sequential (binary counting), Gray code and
 // seeded random permutations of the code set.  Used as baselines and by
-// tests.
+// tests.  Each throws std::invalid_argument for a num_bits
+// Encoding::resolve_bits refuses.
 
 #include <cstdint>
 

@@ -173,11 +173,22 @@ bool get_options(Reader& r, PicolaOptions* o) {
   return true;
 }
 
+// The three bytes after the backend are the SAT reduction's card,
+// distinctness and sweep settings.  Only one configuration is left, so
+// they are written as its constants, and a record holding any other
+// value (written before the other settings were removed) is refused.
+constexpr uint8_t kSatCard =
+    static_cast<uint8_t>(sat::CardEncoding::kSequential);
+constexpr uint8_t kSatDistinct =
+    static_cast<uint8_t>(sat::DistinctEncoding::kDifference);
+constexpr uint8_t kSatSweep =
+    static_cast<uint8_t>(sat::SweepMode::kDescending);
+
 void put_portfolio(Writer& w, const portfolio::PortfolioOptions& p) {
   w.u8(static_cast<uint8_t>(p.backend));
-  w.u8(static_cast<uint8_t>(p.sat_card));
-  w.u8(static_cast<uint8_t>(p.sat_distinct));
-  w.u8(static_cast<uint8_t>(p.sat_sweep));
+  w.u8(kSatCard);
+  w.u8(kSatDistinct);
+  w.u8(kSatSweep);
   w.i64(p.sat_max_conflicts);
   w.u64(p.anneal_seed);
 }
@@ -189,14 +200,9 @@ bool get_portfolio(Reader& r, portfolio::PortfolioOptions* p) {
       !r.i64(&conflicts) || !r.u64(&p->anneal_seed))
     return false;
   if (backend > static_cast<uint8_t>(portfolio::BackendKind::kPortfolio) ||
-      card > static_cast<uint8_t>(sat::CardEncoding::kCommander) ||
-      distinct > static_cast<uint8_t>(sat::DistinctEncoding::kLazy) ||
-      sweep > static_cast<uint8_t>(sat::SweepMode::kScratch))
+      card != kSatCard || distinct != kSatDistinct || sweep != kSatSweep)
     return false;
   p->backend = static_cast<portfolio::BackendKind>(backend);
-  p->sat_card = static_cast<sat::CardEncoding>(card);
-  p->sat_distinct = static_cast<sat::DistinctEncoding>(distinct);
-  p->sat_sweep = static_cast<sat::SweepMode>(sweep);
   p->sat_max_conflicts = conflicts;
   return true;
 }

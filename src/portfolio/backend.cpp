@@ -28,8 +28,7 @@ std::optional<BackendKind> parse_backend_kind(std::string_view name) {
 
 bool portfolio_options_equal(const PortfolioOptions& a,
                              const PortfolioOptions& b) {
-  return a.backend == b.backend && a.sat_card == b.sat_card &&
-         a.sat_distinct == b.sat_distinct && a.sat_sweep == b.sat_sweep &&
+  return a.backend == b.backend &&
          a.sat_max_conflicts == b.sat_max_conflicts &&
          a.anneal_seed == b.anneal_seed;
 }
@@ -87,16 +86,16 @@ BackendOutcome run_sat(const ConstraintSet& cs, const PicolaOptions& popt,
   out.backend = BackendKind::kSat;
   sat::SatExactOptions so;
   so.num_bits = popt.num_bits;
-  so.card = fopt.sat_card;
-  so.distinct = fopt.sat_distinct;
-  so.sweep = fopt.sat_sweep;
   so.max_conflicts = fopt.sat_max_conflicts;
   so.cancel = std::move(cancel);
   sat::SatExactResult res = sat::sat_exact_encode(cs, so);
   out.sat_stats = res.stats;
   out.sat_solver_calls = res.solver_calls;
   if (!res.feasible) {
-    out.error = res.proven ? "sat: no encoding at this length"
+    // Proven infeasible means no distinct codes exist at this length.
+    out.error = res.proven ? "sat: no encoding at this length (too small "
+                             "for " + std::to_string(cs.num_symbols) +
+                                 " symbols)"
                            : "sat: conflict budget exhausted";
     return out;
   }

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/picola.h"
-#include "sat/cnf.h"
 #include "sat/encode.h"
 #include "sat/solver.h"
 
@@ -44,14 +43,13 @@ const char* backend_kind_name(BackendKind k);
 std::optional<BackendKind> parse_backend_kind(std::string_view name);
 
 /// Backend knobs carried by a service Job next to the PicolaOptions.
-/// Everything here affects results, so all of it is fingerprinted.
+/// Everything read here affects results, so all of it is fingerprinted.
 struct PortfolioOptions {
   BackendKind backend = BackendKind::kPicola;
-  /// Cardinality encoding of the SAT reduction.
+  /// One-value fields, not read (see sat::CardEncoding).  The job
+  /// fingerprint and the persist record hold their constants.
   sat::CardEncoding sat_card = sat::CardEncoding::kSequential;
-  /// Distinctness encoding of the SAT reduction.
   sat::DistinctEncoding sat_distinct = sat::DistinctEncoding::kDifference;
-  /// Search strategy of the SAT backend's at-least-t sweep.
   sat::SweepMode sat_sweep = sat::SweepMode::kDescending;
   /// Deterministic conflict budget per SAT solver call; 0 = unlimited.
   long sat_max_conflicts = 200'000;

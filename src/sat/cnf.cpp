@@ -17,66 +17,7 @@ std::string Cnf::validate() const {
   return "";
 }
 
-const char* card_encoding_name(CardEncoding e) {
-  switch (e) {
-    case CardEncoding::kPairwise: return "pairwise";
-    case CardEncoding::kSequential: return "sequential";
-    case CardEncoding::kCommander: return "commander";
-  }
-  return "?";
-}
-
-std::optional<CardEncoding> parse_card_encoding(std::string_view name) {
-  if (name == "pairwise") return CardEncoding::kPairwise;
-  if (name == "sequential") return CardEncoding::kSequential;
-  if (name == "commander") return CardEncoding::kCommander;
-  return std::nullopt;
-}
-
 namespace {
-
-void amo_pairwise(Cnf& cnf, const std::vector<int>& lits) {
-  for (size_t i = 0; i < lits.size(); ++i)
-    for (size_t j = i + 1; j < lits.size(); ++j)
-      cnf.add_clause({-lits[i], -lits[j]});
-}
-
-/// Sinz's sequential AMO: registers s_i = "some lit among the first i+1
-/// is true"; only the implication direction is needed.
-void amo_sequential(Cnf& cnf, const std::vector<int>& lits) {
-  const size_t n = lits.size();
-  if (n <= 1) return;
-  std::vector<int> s(n - 1);
-  for (size_t i = 0; i + 1 < n; ++i) s[i] = cnf.new_var();
-  cnf.add_clause({-lits[0], s[0]});
-  for (size_t i = 1; i + 1 < n; ++i) {
-    cnf.add_clause({-lits[i], s[i]});
-    cnf.add_clause({-s[i - 1], s[i]});
-    cnf.add_clause({-lits[i], -s[i - 1]});
-  }
-  cnf.add_clause({-lits[n - 1], -s[n - 2]});
-}
-
-/// Commander AMO over groups of 3: pairwise within each group, a
-/// commander variable implied by every group member, and AMO recursively
-/// over the commanders.
-void amo_commander(Cnf& cnf, std::vector<int> lits) {
-  constexpr size_t kGroup = 3;
-  while (lits.size() > kGroup) {
-    std::vector<int> commanders;
-    for (size_t g = 0; g < lits.size(); g += kGroup) {
-      size_t end = std::min(g + kGroup, lits.size());
-      for (size_t i = g; i < end; ++i)
-        for (size_t j = i + 1; j < end; ++j)
-          cnf.add_clause({-lits[i], -lits[j]});
-      int c = cnf.new_var();
-      for (size_t i = g; i < end; ++i) cnf.add_clause({-lits[i], c});
-      commanders.push_back(c);
-    }
-    lits = std::move(commanders);
-  }
-  amo_pairwise(cnf, lits);
-}
 
 /// Merge two sorted-unary counters: out[k] fires when a and b together
 /// hold at least k+1 true inputs.  a_i ∧ b_j → out_{i+j} (i or j = 0
@@ -111,15 +52,6 @@ std::vector<int> totalizer_build(Cnf& cnf, const std::vector<int>& lits,
 std::vector<int> add_totalizer(Cnf& cnf, const std::vector<int>& lits) {
   if (lits.empty()) return {};
   return totalizer_build(cnf, lits, 0, lits.size());
-}
-
-void add_at_most_one(Cnf& cnf, const std::vector<int>& lits, CardEncoding e) {
-  if (lits.size() <= 1) return;
-  switch (e) {
-    case CardEncoding::kPairwise: amo_pairwise(cnf, lits); return;
-    case CardEncoding::kSequential: amo_sequential(cnf, lits); return;
-    case CardEncoding::kCommander: amo_commander(cnf, lits); return;
-  }
 }
 
 }  // namespace picola::sat

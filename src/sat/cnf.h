@@ -1,19 +1,14 @@
 #pragma once
-// CNF formula builder with cardinality encodings.
+// CNF formula builder with a totalizer cardinality encoding.
 //
 // Literals use the DIMACS convention throughout: variables are 1-based,
 // a positive literal is the variable number and a negative literal its
-// negation.  The at-most-one helper implements three classic encodings
-// (pairwise, Sinz's sequential counter, and the commander encoding); the
-// indicator distinctness encoding (sat/encode.h) selects one per
-// reduction.  The totalizer counts for the sat backend's at-least-t
-// sweep.  Every encoding introduces only implication clauses over fresh
-// auxiliary variables, so any satisfying assignment of the original
-// variables extends to one of the augmented formula.
+// negation.  The totalizer counts for the sat backend's at-least-t
+// sweep.  It introduces only implication clauses over fresh auxiliary
+// variables, so any satisfying assignment of the original variables
+// extends to one of the augmented formula.
 
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace picola::sat {
@@ -35,21 +30,6 @@ struct Cnf {
   /// "" when every clause is non-empty with in-range, non-zero literals.
   std::string validate() const;
 };
-
-/// Cardinality-constraint encoding family (Zhou's comparison).
-enum class CardEncoding {
-  kPairwise,    ///< binomial: one clause per forbidden subset
-  kSequential,  ///< Sinz sequential counter (auxiliary register chain)
-  kCommander,   ///< recursive commander variables (groups of 3)
-};
-
-const char* card_encoding_name(CardEncoding e);
-std::optional<CardEncoding> parse_card_encoding(std::string_view name);
-
-/// At most one of `lits` is true.  kCommander recurses over group
-/// commanders; kSequential uses the Sinz register chain; kPairwise emits
-/// all O(n^2) binary clauses.
-void add_at_most_one(Cnf& cnf, const std::vector<int>& lits, CardEncoding e);
 
 /// Bailleux–Boutaouche totalizer over `lits`, counting direction only:
 /// returns outputs o[0..n-1] with clauses forcing o[j] whenever at least

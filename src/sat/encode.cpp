@@ -1,7 +1,6 @@
 #include "sat/encode.h"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,97 +10,25 @@
 
 namespace picola::sat {
 
-const char* distinct_encoding_name(DistinctEncoding e) {
-  switch (e) {
-    case DistinctEncoding::kDifference: return "difference";
-    case DistinctEncoding::kIndicator: return "indicator";
-    case DistinctEncoding::kLazy: return "lazy";
-  }
-  return "?";
-}
-
-std::optional<DistinctEncoding> parse_distinct_encoding(
-    std::string_view name) {
-  if (name == "difference") return DistinctEncoding::kDifference;
-  if (name == "indicator") return DistinctEncoding::kIndicator;
-  if (name == "lazy") return DistinctEncoding::kLazy;
-  return std::nullopt;
-}
-
-const char* sweep_mode_name(SweepMode m) {
-  switch (m) {
-    case SweepMode::kDescending: return "descending";
-    case SweepMode::kBinary: return "binary";
-    case SweepMode::kScratch: return "scratch";
-  }
-  return "?";
-}
-
-std::optional<SweepMode> parse_sweep_mode(std::string_view name) {
-  if (name == "descending") return SweepMode::kDescending;
-  if (name == "binary") return SweepMode::kBinary;
-  if (name == "scratch") return SweepMode::kScratch;
-  return std::nullopt;
-}
-
 namespace {
 
-/// Legacy code-indicator distinctness: u[s][c] defined bidirectionally
-/// from the bits, then at-most-one symbol per code word.  O(n·2^nv)
-/// variables — kept behind its original size guard, for comparison only.
-void add_indicator_distinctness(FaceCnf& fc, const ReductionOptions& opt) {
-  Cnf& cnf = fc.cnf;
-  const int n = fc.num_symbols;
-  const int nv = fc.num_bits;
-  const long num_codes = 1L << nv;
-  std::vector<int> u(static_cast<size_t>(n) * static_cast<size_t>(num_codes));
-  for (auto& v : u) v = cnf.new_var();
-  auto ind = [&](int s, long c) {
-    return u[static_cast<size_t>(s) * static_cast<size_t>(num_codes) +
-             static_cast<size_t>(c)];
-  };
-  std::vector<int> mismatch;
-  for (int s = 0; s < n; ++s) {
-    for (long c = 0; c < num_codes; ++c) {
-      mismatch.clear();
-      mismatch.push_back(ind(s, c));
-      for (int b = 0; b < nv; ++b) {
-        int x = fc.bit_var(s, b);
-        int agree = ((c >> b) & 1) ? x : -x;
-        cnf.add_clause({-ind(s, c), agree});  // u -> bits spell out c
-        mismatch.push_back(-agree);           // bits spell out c -> u
-      }
-      cnf.add_clause(mismatch);
-    }
-  }
-  std::vector<int> holders;
-  for (long c = 0; c < num_codes; ++c) {
-    holders.clear();
-    for (int s = 0; s < n; ++s) holders.push_back(ind(s, c));
-    add_at_most_one(cnf, holders, opt.card);
-  }
-}
-
-/// Direct difference distinctness: per pair (s, t) and bit b an aux var
-/// d with d → "bit b differs between s and t", plus the clause "some d
-/// fires".  n(n-1)/2 · nv aux vars and n(n-1)/2 · (2nv+1) clauses —
-/// polynomial in n and nv, which is what lets the full Table I suite
-/// through.  Pairs against the pinned symbol 0 need no aux vars at all:
-/// code(t) ≠ 0 is just "some bit of t is 1".
+/// Difference distinctness: per pair (s, t) and bit b an aux var d with
+/// d → "bit b differs between s and t", plus the clause "some d fires".
+/// n(n-1)/2 · nv aux vars and n(n-1)/2 · (2nv+1) clauses — polynomial in
+/// n and nv, which is what lets the full Table I suite through.  Pairs
+/// against the pinned symbol 0 need no aux vars at all: code(t) ≠ 0 is
+/// just "some bit of t is 1".
 void add_difference_distinctness(FaceCnf& fc) {
   Cnf& cnf = fc.cnf;
   const int n = fc.num_symbols;
   const int nv = fc.num_bits;
   std::vector<int> differs;
-  for (int s = 0; s < n; ++s) {
-    if (s == 0 && fc.pinned_symbol0) {
-      for (int t = 1; t < n; ++t) {
-        differs.clear();
-        for (int b = 0; b < nv; ++b) differs.push_back(fc.bit_var(t, b));
-        cnf.add_clause(differs);
-      }
-      continue;
-    }
+  for (int t = 1; t < n; ++t) {
+    differs.clear();
+    for (int b = 0; b < nv; ++b) differs.push_back(fc.bit_var(t, b));
+    cnf.add_clause(differs);
+  }
+  for (int s = 1; s < n; ++s) {
     for (int t = s + 1; t < n; ++t) {
       differs.clear();
       for (int b = 0; b < nv; ++b) {
@@ -126,39 +53,20 @@ FaceCnf build_face_cnf(const ConstraintSet& cs, int nv,
     throw std::invalid_argument("sat: num_bits " + std::to_string(nv) +
                                 " out of range [1, 20]");
   const int n = cs.num_symbols;
-  if (opt.distinct == DistinctEncoding::kIndicator) {
-    const long num_codes = 1L << nv;
-    if (num_codes * n > 500'000)
-      throw std::invalid_argument(
-          "sat: code space too large for the indicator encoding (" +
-          std::to_string(n) + " symbols x 2^" + std::to_string(nv) +
-          " codes); use the difference encoding");
-  } else if (opt.distinct == DistinctEncoding::kDifference) {
-    const long pairs = static_cast<long>(n) * (n - 1) / 2;
-    if (pairs * nv > 50'000'000)
-      throw std::invalid_argument(
-          "sat: " + std::to_string(n) +
-          " symbols is too large for the eager difference encoding; use "
-          "the lazy encoding");
-  }
+  const long pairs = static_cast<long>(n) * (n - 1) / 2;
+  if (pairs * nv > 50'000'000)
+    throw std::invalid_argument("sat: " + std::to_string(n) +
+                                " symbols is too large for the difference "
+                                "encoding");
 
   FaceCnf fc;
   fc.num_symbols = n;
   fc.num_bits = nv;
-  fc.distinct = opt.distinct;
-  fc.pinned_symbol0 = opt.pin_symbol0;
   Cnf& cnf = fc.cnf;
   cnf.num_vars = n * nv;  // the x[s][b] block sits first
 
-  if (opt.pin_symbol0)
-    for (int b = 0; b < nv; ++b) cnf.add_clause({-fc.bit_var(0, b)});
-
-  switch (opt.distinct) {
-    case DistinctEncoding::kIndicator: add_indicator_distinctness(fc, opt); break;
-    case DistinctEncoding::kDifference: add_difference_distinctness(fc); break;
-    case DistinctEncoding::kLazy: break;  // refined on conflict, see
-                                          // add_pair_difference
-  }
+  for (int b = 0; b < nv; ++b) cnf.add_clause({-fc.bit_var(0, b)});
+  add_difference_distinctness(fc);
 
   // Face constraints: non-member t stays outside the members' supercube
   // iff some bit separates it (all members 1 and t 0, or vice versa).
@@ -202,18 +110,6 @@ FaceCnf build_face_cnf(const ConstraintSet& cs, int nv,
     }
   }
   return fc;
-}
-
-void add_pair_difference(Solver& solver, const FaceCnf& fc, int s, int t) {
-  std::vector<int> differs;
-  for (int b = 0; b < fc.num_bits; ++b) {
-    int d = solver.add_var();
-    int xs = fc.bit_var(s, b), xt = fc.bit_var(t, b);
-    solver.add_clause({-d, xs, xt});
-    solver.add_clause({-d, -xs, -xt});
-    differs.push_back(d);
-  }
-  solver.add_clause(differs);
 }
 
 Encoding decode_model(const FaceCnf& fc, const Solver& solver) {
@@ -260,55 +156,17 @@ void accumulate(SolverStats* into, const SolverStats& s) {
   into->db_reductions += s.db_reductions;
 }
 
-/// One solve, refining the lazy distinctness encoding to a fixpoint:
-/// while the model assigns two symbols the same code, add that pair's
-/// difference clauses and re-solve (each pair is added at most once per
-/// solver, tracked in `pair_added`).  Non-lazy encodings take a single
-/// call.  Terminates: there are only n(n-1)/2 pairs, and a pair with
-/// difference clauses can never collide again.
-SolveStatus solve_refining(Solver& solver, const FaceCnf& fc,
-                           const std::vector<int>& assumptions,
-                           std::vector<uint8_t>* pair_added, long* calls) {
-  const int n = fc.num_symbols;
-  while (true) {
-    SolveStatus st = solver.solve(assumptions);
-    ++*calls;
-    if (st != SolveStatus::kSat || fc.distinct != DistinctEncoding::kLazy)
-      return st;
-    Encoding enc = decode_model(fc, solver);
-    std::vector<std::pair<uint32_t, int>> order;
-    order.reserve(static_cast<size_t>(n));
-    for (int s = 0; s < n; ++s) order.push_back({enc.code(s), s});
-    std::sort(order.begin(), order.end());
-    bool refined = false;
-    for (size_t i = 0; i + 1 < order.size(); ++i) {
-      for (size_t j = i + 1;
-           j < order.size() && order[j].first == order[i].first; ++j) {
-        int s = std::min(order[i].second, order[j].second);
-        int t = std::max(order[i].second, order[j].second);
-        uint8_t& added =
-            (*pair_added)[static_cast<size_t>(s) * static_cast<size_t>(n) +
-                          static_cast<size_t>(t)];
-        if (added) continue;  // unreachable: its clauses forbid collision
-        added = 1;
-        add_pair_difference(solver, fc, s, t);
-        refined = true;
-      }
-    }
-    if (!refined) return SolveStatus::kSat;  // all codes distinct
-  }
-}
-
 }  // namespace
 
 SatExactResult sat_exact_encode(const ConstraintSet& cs,
                                 const SatExactOptions& opt) {
   PICOLA_OBS_SPAN(span, "sat/exact_encode");
-  const int nv =
-      opt.num_bits > 0 ? opt.num_bits : Encoding::min_bits(cs.num_symbols);
+  // A length too short for distinct codes is not an error here: the
+  // reduction answers it with a proof of infeasibility.
+  const int nv = Encoding::resolve_bits(cs.num_symbols, opt.num_bits,
+                                        "sat_exact_encode",
+                                        /*allow_short=*/true);
   ReductionOptions ro;
-  ro.card = opt.card;
-  ro.distinct = opt.distinct;
   ro.with_selectors = true;
 
   SweepContext ctx;
@@ -327,8 +185,6 @@ SatExactResult sat_exact_encode(const ConstraintSet& cs,
   so.cancel = opt.cancel;
 
   const int m = cs.size();
-  const size_t pair_slots = static_cast<size_t>(cs.num_symbols) *
-                            static_cast<size_t>(cs.num_symbols);
   auto check_cancel = [&] {
     if (opt.cancel && opt.cancel->cancelled()) throw CancelledError();
   };
@@ -336,86 +192,37 @@ SatExactResult sat_exact_encode(const ConstraintSet& cs,
   SatExactResult res;
   int found = -1;  ///< best target with a confirmed model
   bool unknown_above = false;
-  Encoding sweep_model;  ///< fallback if the canonical re-solve times out
+  Encoding model;  ///< the latest model any call found
+  auto solve_at = [&](Solver& solver, int target) {
+    check_cancel();
+    SolveStatus st = solver.solve(target_assumptions(ctx, target));
+    ++res.solver_calls;
+    if (st == SolveStatus::kSat) model = decode_model(ctx.base, solver);
+    return st;
+  };
 
-  if (opt.sweep == SweepMode::kBinary) {
-    // Binary search over t on one incremental solver.  A SAT model at
-    // target mid raises the floor to however many constraints the model
-    // actually satisfies; a refutation (or budget exhaustion, which
-    // forfeits the proof) lowers the ceiling.
-    Solver solver(ctx.work, so);
-    std::vector<uint8_t> pairs(pair_slots, 0);
-    SolveStatus st =
-        solve_refining(solver, ctx.base, {}, &pairs, &res.solver_calls);
-    if (st == SolveStatus::kSat) {
-      sweep_model = decode_model(ctx.base, solver);
-      int lo = count_satisfied_constraints(cs, sweep_model);
-      int hi = m;
-      while (lo < hi) {
-        check_cancel();
-        int mid = lo + (hi - lo + 1) / 2;
-        st = solve_refining(solver, ctx.base, target_assumptions(ctx, mid),
-                            &pairs, &res.solver_calls);
-        if (st == SolveStatus::kSat) {
-          sweep_model = decode_model(ctx.base, solver);
-          lo = std::max(mid, count_satisfied_constraints(cs, sweep_model));
-        } else {
-          if (st == SolveStatus::kUnknown) unknown_above = true;
-          hi = mid - 1;
-        }
-        hi = std::max(hi, lo);  // a model can overshoot an unproven ceiling
-      }
-      found = lo;
-    } else if (st == SolveStatus::kUnknown) {
-      unknown_above = true;
-    }
-    accumulate(&res.stats, solver.stats());
-  } else {
-    // Descending search: the first satisfiable at-least-t target is the
-    // maximum, provided every higher target was refuted (not timed out).
-    // kDescending drives ONE solver through all targets via assumptions
-    // (refutation clauses learned at target t carry to t-1); kScratch is
-    // the pre-incremental behavior — a fresh solver per target — kept as
-    // the fuzz harness's differential baseline.
-    //
-    // Bailout: when the optimum sits far below m (tbk: 25 of 106), a
-    // strict descent would burn the full conflict budget on dozens of
-    // undecidable targets.  After kBailoutUnknowns consecutive kUnknown
-    // verdicts the sweep flips to ascending solution-improving search —
-    // solve unconstrained, then repeatedly demand one more constraint
-    // than the current model satisfies.  SAT calls are the cheap
-    // direction, and each model's actual count can jump the target up by
-    // more than one.  The result is unproven either way (unknown_above
-    // is already set by then).
-    constexpr int kBailoutUnknowns = 3;
-    std::unique_ptr<Solver> inc;
-    std::vector<uint8_t> inc_pairs;
-    if (opt.sweep == SweepMode::kDescending) {
-      inc = std::make_unique<Solver>(ctx.work, so);
-      inc_pairs.assign(pair_slots, 0);
-    }
-    auto solve_at = [&](int target) {
-      check_cancel();
-      std::vector<int> assumptions = target_assumptions(ctx, target);
-      SolveStatus st;
-      if (inc) {
-        st = solve_refining(*inc, ctx.base, assumptions, &inc_pairs,
-                            &res.solver_calls);
-        if (st == SolveStatus::kSat) sweep_model = decode_model(ctx.base, *inc);
-      } else {
-        Solver scratch(ctx.work, so);
-        std::vector<uint8_t> pairs(pair_slots, 0);
-        st = solve_refining(scratch, ctx.base, assumptions, &pairs,
-                            &res.solver_calls);
-        if (st == SolveStatus::kSat)
-          sweep_model = decode_model(ctx.base, scratch);
-        accumulate(&res.stats, scratch.stats());
-      }
-      return st;
-    };
+  // Descending search on ONE incremental solver driven through every
+  // target by assumptions (refutation clauses learned at target t carry
+  // to t-1): the first satisfiable at-least-t target is the maximum,
+  // provided every higher target was refuted (not timed out).
+  //
+  // Bailout: when the optimum sits far below m (tbk: 25 of 106), a
+  // strict descent would burn the full conflict budget on dozens of
+  // undecidable targets.  After kBailoutUnknowns consecutive kUnknown
+  // verdicts the sweep flips to ascending solution-improving search —
+  // solve unconstrained, then repeatedly demand one more constraint than
+  // the current model satisfies.  SAT calls are the cheap direction, and
+  // each model's actual count can jump the target up by more than one.
+  // The result is unproven either way (unknown_above is already set by
+  // then).
+  constexpr int kBailoutUnknowns = 3;
+  {
+    // Scoped: the descent's learned clauses are freed before the
+    // canonical re-solve builds its own solver.
+    Solver descent(ctx.work, so);
     int consecutive_unknown = 0;
     for (int target = m; target >= 0; --target) {
-      SolveStatus st = solve_at(target);
+      SolveStatus st = solve_at(descent, target);
       if (st == SolveStatus::kSat) {
         found = target;
         break;
@@ -426,26 +233,16 @@ SatExactResult sat_exact_encode(const ConstraintSet& cs,
           // The climb runs on a dedicated fresh solver: the descent's
           // accumulated activity and saved phases are tuned for refuting
           // high targets and demonstrably mislead the satisfiable
-          // direction (a fresh solver finds the t=0 model in a handful
-          // of conflicts where the descent solver exhausts its budget).
+          // direction (a fresh solver finds the t=0 model in a handful of
+          // conflicts where the descent solver exhausts its budget).
           const int ceiling = target - 1;  // nothing below was refuted
           Solver climb(ctx.work, so);
-          std::vector<uint8_t> climb_pairs(pair_slots, 0);
-          auto climb_at = [&](int t) {
-            check_cancel();
-            SolveStatus cst =
-                solve_refining(climb, ctx.base, target_assumptions(ctx, t),
-                               &climb_pairs, &res.solver_calls);
-            if (cst == SolveStatus::kSat)
-              sweep_model = decode_model(ctx.base, climb);
-            return cst;
-          };
-          if (climb_at(0) == SolveStatus::kSat) {
-            found = count_satisfied_constraints(cs, sweep_model);
+          if (solve_at(climb, 0) == SolveStatus::kSat) {
+            found = count_satisfied_constraints(cs, model);
             while (found < ceiling &&
-                   climb_at(found + 1) == SolveStatus::kSat)
+                   solve_at(climb, found + 1) == SolveStatus::kSat)
               found = std::max(found + 1,
-                               count_satisfied_constraints(cs, sweep_model));
+                               count_satisfied_constraints(cs, model));
           }
           accumulate(&res.stats, climb.stats());
           break;
@@ -454,7 +251,7 @@ SatExactResult sat_exact_encode(const ConstraintSet& cs,
         consecutive_unknown = 0;
       }
     }
-    if (inc) accumulate(&res.stats, inc->stats());
+    accumulate(&res.stats, descent.stats());
   }
 
   if (found < 0) {
@@ -466,23 +263,14 @@ SatExactResult sat_exact_encode(const ConstraintSet& cs,
   }
 
   // Canonical model: re-solve (work, found) on a FRESH solver so the
-  // reported encoding is a pure function of the formula and the target —
-  // identical across descending, binary and scratch sweeps, whatever
-  // learned-clause state each accumulated.  kScratch's winning call was
-  // already exactly this solve, so reuse its model.
-  res.encoding = sweep_model;
-  if (opt.sweep != SweepMode::kScratch) {
-    check_cancel();
-    Solver canon(ctx.work, so);
-    std::vector<uint8_t> pairs(pair_slots, 0);
-    SolveStatus st = solve_refining(canon, ctx.base,
-                                    target_assumptions(ctx, found), &pairs,
-                                    &res.solver_calls);
-    accumulate(&res.stats, canon.stats());
-    // kUnknown here means the fresh solver hit the per-call budget on a
-    // query the sweep already answered; fall back to the sweep's model.
-    if (st == SolveStatus::kSat) res.encoding = decode_model(ctx.base, canon);
-  }
+  // reported encoding is a pure function of the formula and the target,
+  // whatever learned-clause state the sweep accumulated.  If the fresh
+  // solver hits the per-call budget on a query the sweep already
+  // answered, the sweep's model stands.
+  Solver canon(ctx.work, so);
+  solve_at(canon, found);
+  accumulate(&res.stats, canon.stats());
+  res.encoding = std::move(model);
   res.feasible = true;
   res.satisfied = count_satisfied_constraints(cs, res.encoding);
   res.proven = !unknown_above && res.satisfied == found;

@@ -4,19 +4,10 @@
 //
 // Variables (DIMACS, 1-based):
 //   * x[s][b] = 1 + s*nv + b — bit b of symbol s's code;
-//   * distinctness, selectable (`DistinctEncoding`):
-//       - kDifference (default): per symbol pair (s, t) and bit b an aux
-//         var d[s][t][b] with d → "bit b differs", plus one "some bit
-//         differs" clause per pair — O(n²·nv) vars and clauses, so the
-//         big Table I instances (tbk, planet, scf) stay tractable;
-//       - kIndicator: the legacy code-indicator formulation u[s][c]
-//         ("symbol s holds word c") with a per-word at-most-one — an
-//         O(n·2^nv) blowup kept only for comparison and kept behind its
-//         original size guard;
-//       - kLazy: no distinctness clauses up front; the solver adds a
-//         pair's difference clauses only when a model actually collides
-//         on that pair (counterexample-guided refinement, incremental
-//         solver required).
+//   * distinctness: per symbol pair (s, t) and bit b an aux var d[s][t][b]
+//     with d → "bit b differs", plus one "some bit differs" clause per
+//     pair — O(n²·nv) vars and clauses, so the big Table I instances
+//     (tbk, planet, scf) stay tractable;
 //   * per constraint k, per non-member t, per bit b: separator variables
 //     sep1/sep0 witnessing "every member fixes bit b to 1 (resp. 0) and
 //     t carries the opposite value" via shared all1/all0[k][b] aux vars.
@@ -33,8 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "constraints/face_constraint.h"
@@ -45,41 +34,20 @@
 
 namespace picola::sat {
 
-/// Distinctness ("all codes differ") encoding family.
-enum class DistinctEncoding {
-  kDifference,  ///< per-pair "some bit differs" aux vars (polynomial)
-  kIndicator,   ///< legacy code indicators u[s][c] (O(n·2^nv), guarded)
-  kLazy,        ///< difference clauses added only on model collision
-};
-
-const char* distinct_encoding_name(DistinctEncoding e);
-std::optional<DistinctEncoding> parse_distinct_encoding(std::string_view name);
-
-/// How sat_exact_encode searches for the maximum at-least-t target.
-enum class SweepMode {
-  kDescending,  ///< t = m, m-1, ... on ONE incremental solver (default);
-                ///< after 3 consecutive budget-exhausted targets it
-                ///< bails out to ascending solution-improving search
-                ///< (the answer is unproven by then anyway)
-  kBinary,      ///< binary search over t on one incremental solver
-  kScratch,     ///< descending, fresh solver + CNF per target (the PR 6
-                ///< behavior; the fuzz harness diffs it against the
-                ///< incremental modes)
-};
-
-const char* sweep_mode_name(SweepMode m);
-std::optional<SweepMode> parse_sweep_mode(std::string_view name);
+// The reduction has one configuration.  These one-value enums keep the
+// SatExactOptions and portfolio::PortfolioOptions fields that
+// perfbench/src/replay.cpp still assigns; nothing reads those fields.
+// Each value is the number the job fingerprint and the persist record
+// have always held for it, so cache keys and stored records are
+// unchanged.
+enum class CardEncoding { kSequential = 1 };
+enum class DistinctEncoding { kDifference = 0 };
+enum class SweepMode { kDescending = 0 };
 
 struct ReductionOptions {
-  /// Cardinality encoding for the indicator distinctness at-most-one.
-  CardEncoding card = CardEncoding::kSequential;
-  /// Distinctness encoding (see DistinctEncoding).
-  DistinctEncoding distinct = DistinctEncoding::kDifference;
   /// Emit a selector variable per constraint instead of hard face
   /// clauses.
   bool with_selectors = false;
-  /// Pin symbol 0 to code 0 (sound up to column complementation).
-  bool pin_symbol0 = true;
 };
 
 /// The CNF for one (constraint set, code length) pair plus the variable
@@ -88,8 +56,6 @@ struct FaceCnf {
   Cnf cnf;
   int num_symbols = 0;
   int num_bits = 0;
-  DistinctEncoding distinct = DistinctEncoding::kDifference;
-  bool pinned_symbol0 = false;
   /// Selector variable y_k per constraint (with_selectors only).
   std::vector<int> selectors;
 
@@ -98,21 +64,17 @@ struct FaceCnf {
 };
 
 /// Build the reduction at `nv` bits.  Throws std::invalid_argument on an
-/// invalid set, nv outside [1, 20], or — for kIndicator only — a code
-/// space too large for the indicator encoding (n * 2^nv > 500'000).
+/// invalid set, nv outside [1, 20], or more symbol pairs × bits than the
+/// difference encoding is built for (50 million).
 FaceCnf build_face_cnf(const ConstraintSet& cs, int nv,
                        const ReductionOptions& opt = {});
-
-/// Add the difference-encoding clauses of the single pair (s, t) to a
-/// live solver (the lazy refinement step): one aux var per bit plus the
-/// "some bit differs" clause.
-void add_pair_difference(Solver& solver, const FaceCnf& fc, int s, int t);
 
 /// Read the encoding out of a kSat model.
 Encoding decode_model(const FaceCnf& fc, const Solver& solver);
 
 struct SatExactOptions {
   int num_bits = 0;  ///< 0 = minimum length
+  /// Not read (see CardEncoding above).
   CardEncoding card = CardEncoding::kSequential;
   DistinctEncoding distinct = DistinctEncoding::kDifference;
   SweepMode sweep = SweepMode::kDescending;
@@ -139,14 +101,16 @@ struct SatExactResult {
 };
 
 /// Exact encoder: find an nv-bit encoding maximising the number of
-/// simultaneously satisfied constraints via a search over the selector
-/// variables (descending, binary, or per-target-scratch — see
-/// SweepMode).  feasible=false with proven=true means no distinct nv-bit
-/// encoding exists at all (nv below the minimum length).  The reported
-/// model always comes from one final canonical solve of (CNF, best
-/// target) on a fresh solver, so every sweep mode that proves the same
-/// target returns the same encoding bit for bit.  Throws CancelledError
-/// if the token fires mid-search.
+/// simultaneously satisfied constraints.  The search descends over the
+/// at-least-t targets on one incremental solver; after three
+/// budget-exhausted targets in a row it climbs from t = 0 on a fresh
+/// solver instead.  feasible=false with proven=true means no distinct
+/// nv-bit encoding exists at all (nv below the minimum length).  The
+/// reported model comes from one final canonical solve of (CNF, best
+/// target) on a fresh solver, so it is a pure function of the formula
+/// and the target, whatever learned-clause state the sweep built up.
+/// Throws std::invalid_argument for a num_bits that is negative or above
+/// 20, and CancelledError if the token fires mid-search.
 SatExactResult sat_exact_encode(const ConstraintSet& cs,
                                 const SatExactOptions& opt = {});
 

@@ -10,6 +10,11 @@ namespace picola::sat {
 
 namespace {
 
+/// VSIDS activity decay factor per conflict.
+constexpr double kVarDecay = 0.95;
+/// Luby restart unit (conflicts).
+constexpr long kRestartBase = 100;
+
 /// Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
 long luby(long x) {
   long size = 1, seq = 0;
@@ -327,7 +332,7 @@ int Solver::heap_pop() {
 }
 
 void Solver::decay() {
-  var_inc_ /= opt_.var_decay;
+  var_inc_ /= kVarDecay;
   cla_inc_ /= 0.999;  // clause-activity decay (MiniSat's clause_decay)
 }
 
@@ -430,7 +435,7 @@ SolveStatus Solver::solve(const std::vector<int>& assumptions) {
 
 SolveStatus Solver::search() {
   long conflicts_since_restart = 0;
-  long restart_limit = static_cast<long>(opt_.restart_base) * luby(0);
+  long restart_limit = kRestartBase * luby(0);
   std::vector<int> learnt;
 
   while (true) {
@@ -473,8 +478,7 @@ SolveStatus Solver::search() {
       if (conflicts_since_restart >= restart_limit) {
         ++stats_.restarts;
         conflicts_since_restart = 0;
-        restart_limit =
-            static_cast<long>(opt_.restart_base) * luby(stats_.restarts);
+        restart_limit = kRestartBase * luby(stats_.restarts);
         backtrack(0);
         continue;
       }

@@ -23,8 +23,7 @@
 //     across calls, so a sweep over related queries (the sat backend's
 //     descending at-least-t search) reuses everything the refutations of
 //     earlier targets taught the solver.
-//   * add_var() / add_clause() grow the formula between calls (the lazy
-//     distinctness encoding adds difference clauses only on conflict).
+//   * add_var() / add_clause() grow the formula between calls.
 //   * max_conflicts is a per-call budget: each solve() call gets the
 //     full budget regardless of what earlier calls consumed.
 //   * the learned-clause database is reduced periodically (lowest
@@ -64,10 +63,6 @@ struct SolverOptions {
   /// Cooperative cancellation: checked in the propagate/decide loops,
   /// fires CancelledError.
   std::shared_ptr<const CancelToken> cancel;
-  /// VSIDS activity decay factor per conflict.
-  double var_decay = 0.95;
-  /// Luby restart unit (conflicts).
-  int restart_base = 100;
 };
 
 struct SolverStats {
@@ -95,7 +90,7 @@ class Solver {
   SolveStatus solve(const std::vector<int>& assumptions);
 
   /// Allocate a fresh variable; returns its DIMACS number.  Usable
-  /// between solve() calls (the lazy distinctness refinement).
+  /// between solve() calls.
   int add_var();
 
   /// Add one clause (DIMACS literals) to the live formula.  Backtracks

@@ -96,12 +96,14 @@ CanonicalJob canonicalize(const Job& job) {
   h.mix(o.tie_break_seed);
   // Backend selection and knobs all change the result, so all of them
   // are part of the key (results from different backends must never
-  // answer each other's cache lookups).
+  // answer each other's cache lookups).  The SAT reduction has one
+  // configuration; its three constants stay in the word so that keys
+  // are unchanged.
   c.portfolio = job.portfolio;
   h.mix(static_cast<uint64_t>(c.portfolio.backend) |
-        (static_cast<uint64_t>(c.portfolio.sat_card) << 8) |
-        (static_cast<uint64_t>(c.portfolio.sat_distinct) << 16) |
-        (static_cast<uint64_t>(c.portfolio.sat_sweep) << 24));
+        (static_cast<uint64_t>(sat::CardEncoding::kSequential) << 8) |
+        (static_cast<uint64_t>(sat::DistinctEncoding::kDifference) << 16) |
+        (static_cast<uint64_t>(sat::SweepMode::kDescending) << 24));
   h.mix(static_cast<uint64_t>(c.portfolio.sat_max_conflicts));
   h.mix(c.portfolio.anneal_seed);
   for (const FaceConstraint& f : c.set.constraints) {

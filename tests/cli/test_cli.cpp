@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -43,6 +44,10 @@ class CliTest : public ::testing::Test {
 
 constexpr const char* kCon =
     ".n 15\n1 5 7 13\n0 1\n8 13\n5 6 7 8 13\n.e\n";
+
+std::string example(const char* name) {
+  return std::string(PICOLA_EXAMPLES_DIR) + "/" + name;
+}
 
 TEST_F(CliTest, EncodeConFile) {
   std::string in = temp_path("paper.con");
@@ -164,6 +169,57 @@ TEST_F(CliTest, EncodeReportsBadBitsInsteadOfCrashing) {
   EXPECT_NE(err_.str().find("too small"), std::string::npos) << err_.str();
   EXPECT_EQ(run({"encode", in, "--bits", "40"}), 1);
   EXPECT_NE(err_.str().find("31"), std::string::npos) << err_.str();
+}
+
+TEST_F(CliTest, EveryEncoderRefusesATooShortCodeLength) {
+  // overlap.con has 8 symbols, so 2 bits cannot give each its own code.
+  // nova, anneal, random and exact used to crash here (a double free,
+  // heap corruption, a segfault), enc to end on an uncaught exception,
+  // and sequential and gray to print out-of-range codes.
+  const std::string in = example("overlap.con");
+  for (const char* algo : {"picola", "picola-best", "nova", "enc", "anneal",
+                           "sequential", "gray", "random", "exact"}) {
+    EXPECT_EQ(run({"encode", in, "--algorithm", algo, "--bits", "2"}), 1)
+        << algo;
+    EXPECT_NE(err_.str().find("too small"), std::string::npos)
+        << algo << ": " << err_.str();
+  }
+  for (const char* backend : {"picola", "sat", "anneal", "portfolio"}) {
+    EXPECT_EQ(run({"encode", in, "--backend", backend, "--bits", "2"}), 1)
+        << backend;
+    EXPECT_NE(err_.str().find("too small"), std::string::npos)
+        << backend << ": " << err_.str();
+  }
+  // The service pool answers each request with the same refusal (the
+  // anneal backend used to corrupt the pool's heap here).
+  for (const char* backend : {"picola", "sat", "anneal", "portfolio"}) {
+    std::istringstream requests(in + "\n");
+    out_.str("");
+    EXPECT_EQ(cli::run({"serve", "--bits", "2", "--backend", backend},
+                       requests, out_, err_),
+              0)
+        << backend;
+    EXPECT_EQ(out_.str().rfind("error " + in + ": ", 0), 0u)
+        << backend << ": " << out_.str();
+    EXPECT_NE(out_.str().find("too small"), std::string::npos)
+        << backend << ": " << out_.str();
+  }
+}
+
+TEST_F(CliTest, UnknownOptionsAreRefused) {
+  const std::string in = example("overlap.con");
+  EXPECT_EQ(run({"encode", in, "--frobnicate"}), 2);
+  EXPECT_EQ(err_.str(), "unknown option --frobnicate\n");
+  EXPECT_EQ(out_.str(), "");
+  // Removed options are unknown too, so the value after one is never
+  // taken for a problem file.
+  std::string list = temp_path("unknown.list");
+  write(list, in + "\n");
+  for (const char* opt : {"--card", "--distinct", "--sweep", "--steps"}) {
+    EXPECT_EQ(run({"batch", list, opt, "pairwise"}), 2) << opt;
+    EXPECT_EQ(err_.str(), std::string("unknown option ") + opt + "\n");
+    EXPECT_EQ(out_.str(), "") << opt;
+  }
 }
 
 TEST_F(CliTest, EncodeRejectsMalformedConstraintLines) {
@@ -295,6 +351,38 @@ TEST_F(CliTest, SatExportToStdoutAndErrors) {
   EXPECT_NE(run({"sat-export", temp_path("missing.con")}), 0);
   EXPECT_NE(run({"sat-export", in, "--bits", "0"}), 0);
   EXPECT_NE(run({"sat-export", in, "--card", "magic"}), 0);
+}
+
+TEST_F(CliTest, SatExportClausesPin) {
+  // Pins the reduction's clauses: one hash over every non-comment line
+  // `sat-export` writes, with and without selectors, for each problem in
+  // examples/data.
+  uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a over bytes
+  long lines_hashed = 0;
+  for (const char* name : {"elevator.kiss2", "microcode.con", "overlap.con",
+                           "paper_fig1.con", "traffic.kiss2",
+                           "vending.kiss2"}) {
+    for (bool selectors : {false, true}) {
+      std::vector<std::string> args = {"sat-export", example(name)};
+      if (selectors) args.push_back("--selectors");
+      ASSERT_EQ(run(args), 0) << name << ": " << err_.str();
+      std::istringstream lines(out_.str());
+      std::string line;
+      while (std::getline(lines, line)) {
+        if (line.rfind("c", 0) == 0) continue;
+        for (char ch : line + "\n") {
+          h ^= static_cast<uint8_t>(ch);
+          h *= 0x100000001B3ULL;
+        }
+        ++lines_hashed;
+      }
+    }
+  }
+  char hex[24];
+  std::snprintf(hex, sizeof hex, "0x%016llx",
+                static_cast<unsigned long long>(h));
+  EXPECT_EQ(lines_hashed, 7'308);
+  EXPECT_EQ(std::string(hex), "0x1b1634a3e069dd9b");
 }
 
 TEST_F(CliTest, BatchSelfCheckFlag) {

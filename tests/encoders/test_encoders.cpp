@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <random>
+#include <string>
 
+#include "check/instance_gen.h"
+#include "check/oracle.h"
 #include "constraints/dichotomy.h"
 #include "encoders/enc_like.h"
-#include "encoders/exact.h"
 #include "encoders/nova_like.h"
 #include "encoders/trivial.h"
 #include "eval/constraint_eval.h"
@@ -19,6 +23,31 @@ ConstraintSet small_set() {
   cs.add({2, 3});
   cs.add({1, 2, 4});
   return cs;
+}
+
+TEST(Encoding, ResolveBitsChecksTheRequestedLength) {
+  EXPECT_EQ(Encoding::resolve_bits(8, 0, "test"), 3);
+  EXPECT_EQ(Encoding::resolve_bits(8, 31, "test"), 31);
+  EXPECT_EQ(Encoding::resolve_bits(8, 2, "test", /*allow_short=*/true), 2);
+  auto message = [](int bits) {
+    try {
+      Encoding::resolve_bits(8, bits, "test");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(message(-1), "test: negative code length");
+  EXPECT_EQ(message(32), "test: code length 32 exceeds 31 bits");
+  EXPECT_EQ(message(2), "test: code length 2 too small for 8 symbols");
+  // Every encoder resolves its length there, so none runs short.
+  EXPECT_THROW(sequential_encoding(8, 2), std::invalid_argument);
+  EXPECT_THROW(gray_encoding(8, 2), std::invalid_argument);
+  EXPECT_THROW(random_encoding(8, 1, 2), std::invalid_argument);
+  ConstraintSet cs = small_set();
+  NovaLikeOptions nova;
+  nova.num_bits = 2;
+  EXPECT_THROW(nova_like_encode(cs, nova), std::invalid_argument);
 }
 
 TEST(TrivialEncoders, SequentialGrayRandomAreValid) {
@@ -94,6 +123,17 @@ TEST(EncLike, ValidAndRefinementNeverHurts) {
   EXPECT_GT(r2.espresso_calls, 0);
 }
 
+// The exact encoder is the exhaustive oracle run with the exact
+// encoder's candidate cap: its witnesses are optimal encodings.
+check::OracleResult exact_encode(const ConstraintSet& cs, int num_bits = 0,
+                                 long max_candidates =
+                                     check::kExactEncoderCandidates) {
+  check::OracleOptions opt;
+  opt.max_candidates = max_candidates;
+  opt.min_cubes = true;
+  return check::oracle_solve(cs, num_bits, opt);
+}
+
 TEST(Exact, FindsOptimumOnTinyProblem) {
   // 4 symbols in B^2 with constraints {0,1} and {2,3}: both satisfiable
   // simultaneously -> optimal total = 2 cubes.
@@ -101,9 +141,9 @@ TEST(Exact, FindsOptimumOnTinyProblem) {
   cs.num_symbols = 4;
   cs.add({0, 1});
   cs.add({2, 3});
-  ExactResult r = exact_encode(cs);
-  EXPECT_EQ(r.best_cost, 2);
-  EXPECT_EQ(evaluate_constraints(cs, r.encoding).total_cubes, 2);
+  check::OracleResult r = exact_encode(cs);
+  EXPECT_EQ(r.min_total_cubes, 2);
+  EXPECT_EQ(evaluate_constraints(cs, r.min_cubes_encoding).total_cubes, 2);
 }
 
 TEST(Exact, MaxSatisfiedObjective) {
@@ -111,19 +151,16 @@ TEST(Exact, MaxSatisfiedObjective) {
   cs.num_symbols = 4;
   cs.add({0, 1});
   cs.add({1, 2});
-  ExactOptions opt;
-  opt.objective = ExactObjective::kMaxSatisfiedConstraints;
-  ExactResult r = exact_encode(cs, opt);
+  check::OracleResult r = exact_encode(cs);
   // Both are satisfiable: place 1 adjacent to both 0 and 2.
-  EXPECT_EQ(-r.best_cost, 2);
+  EXPECT_EQ(r.max_satisfied, 2);
+  EXPECT_EQ(count_satisfied_constraints(cs, r.max_satisfied_encoding), 2);
 }
 
 TEST(Exact, ThrowsOnOversizedProblem) {
   ConstraintSet cs;
   cs.num_symbols = 20;
-  ExactOptions opt;
-  opt.max_candidates = 1000;
-  EXPECT_THROW(exact_encode(cs, opt), std::invalid_argument);
+  EXPECT_THROW(exact_encode(cs, 0, 1000), std::invalid_argument);
 }
 
 TEST(Exact, HeuristicsNeverBeatExact) {
@@ -138,13 +175,77 @@ TEST(Exact, HeuristicsNeverBeatExact) {
         if (rng() % 2) members.push_back(s);
       cs.add(std::move(members));
     }
-    ExactResult best = exact_encode(cs);
+    check::OracleResult best = exact_encode(cs);
     for (int cost :
          {evaluate_constraints(cs, nova_like_encode(cs).encoding).total_cubes,
           evaluate_constraints(cs, enc_like_encode(cs).encoding).total_cubes}) {
-      EXPECT_GE(cost, best.best_cost);
+      EXPECT_GE(cost, best.min_total_cubes);
     }
   }
+}
+
+/// FNV-1a over 64-bit words.
+struct WitnessHash {
+  uint64_t h = 0xCBF29CE484222325ULL;
+
+  void mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  void mix(const Encoding& e) {
+    mix(static_cast<uint64_t>(e.num_bits));
+    for (uint32_t c : e.codes) mix(c);
+  }
+};
+
+std::string hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(Exact, WitnessPin) {
+  // Pins the exact encoder's answers over a seeded stream of 3-8 symbol
+  // instances at the minimum length and one bit more: the first
+  // encoding in enumeration order with the most satisfied constraints
+  // and, where there are at most 1,000 candidates, the first with the
+  // fewest cubes.  Instances over 5,040 candidates (8 symbols in 3 bits)
+  // are skipped to keep the test fast.  The constants were recorded
+  // from the separate exact encoder this oracle replaced.
+  check::GeneratorOptions g;
+  g.min_symbols = 3;
+  g.max_symbols = 8;
+  g.max_extra_bits = 1;
+  check::InstanceGenerator gen(20261019, g);
+  WitnessHash h;
+  int pinned = 0, min_cubes = 0;
+  for (int i = 0; i < 200; ++i) {
+    check::InstanceGenerator::Instance inst = gen.next();
+    const int n = inst.set.num_symbols;
+    const int nv =
+        inst.num_bits > 0 ? inst.num_bits : Encoding::min_bits(n);
+    long candidates = 1;
+    for (int s = 1; s < n; ++s) candidates *= (1L << nv) - s;
+    if (candidates > 5'040) continue;
+    check::OracleOptions opt;
+    opt.max_candidates = check::kExactEncoderCandidates;
+    opt.min_cubes = candidates <= 1'000;
+    check::OracleResult r = check::oracle_solve(inst.set, inst.num_bits, opt);
+    h.mix(r.max_satisfied_encoding);
+    h.mix(static_cast<uint64_t>(r.max_satisfied));
+    if (opt.min_cubes) {
+      h.mix(r.min_cubes_encoding);
+      h.mix(static_cast<uint64_t>(r.min_total_cubes));
+      ++min_cubes;
+    }
+    ++pinned;
+  }
+  EXPECT_EQ(pinned, 130);
+  EXPECT_EQ(min_cubes, 88);
+  EXPECT_EQ(hex(h.h), "0x7b342e50c0984b0e");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "service/job.h"
 #include "service/result_cache.h"
@@ -195,6 +196,33 @@ TEST(RecordCodec, RejectsStoredFingerprintDrift) {
   std::string err;
   EXPECT_FALSE(decode_record(payload, &job, &result, &err));
   EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
+}
+
+TEST(RecordCodec, RejectsRemovedSatOptionValues) {
+  // Version 2 records carry the SAT reduction's card, distinctness and
+  // sweep settings as three bytes after the backend.  Only one
+  // configuration is left (bytes 1, 0, 0); a record holding any value
+  // of the removed settings is refused like other format drift.
+  const CanonicalJob job = sample_job();
+  const std::string payload = encode_record(job, sample_result(1));
+  size_t at = 8 + 4 + 4 + 4;  // fingerprint, restarts, symbols, count
+  for (const FaceConstraint& c : job.set.constraints)
+    at += 4 + 4 * c.members.size() + 8 + 1 + 4;
+  at += 1 + 4 * 8 + 4 + 8;  // PicolaOptions
+  at += 1;                  // backend
+  ASSERT_EQ(payload.substr(at, 3), std::string("\x01\x00\x00", 3));
+  // card: pairwise 0, commander 2; distinct: indicator 1, lazy 2;
+  // sweep: binary 1, scratch 2.
+  for (auto [offset, value] : {std::pair<size_t, char>{0, 0}, {0, 2},
+                               {1, 1}, {1, 2}, {2, 1}, {2, 2}}) {
+    std::string drifted = payload;
+    drifted[at + offset] = value;
+    CanonicalJob j;
+    CachedResult r;
+    std::string err;
+    EXPECT_FALSE(decode_record(drifted, &j, &r, &err))
+        << "byte " << offset << " = " << int(value);
+  }
 }
 
 TEST(RecordCodec, DistinctJobsDistinctPayloads) {

@@ -1,7 +1,5 @@
-// Cardinality encodings validated against brute-force enumeration: an
-// at-most-one formula over n primary variables must be satisfiable
-// exactly for the assignments with at most one true literal, for every
-// encoding family; the totalizer's outputs must count the true inputs.
+// The totalizer validated against brute-force enumeration: its outputs
+// must count the true inputs, and one assumption must cap the count.
 
 #include <gtest/gtest.h>
 
@@ -11,9 +9,6 @@
 
 namespace picola::sat {
 namespace {
-
-const CardEncoding kAll[] = {CardEncoding::kPairwise, CardEncoding::kSequential,
-                             CardEncoding::kCommander};
 
 /// Solvability of `base` with the first n variables pinned to the bits of
 /// `assignment`.
@@ -35,23 +30,6 @@ TEST(Cnf, ValidateCatchesMalformedClauses) {
   cnf.clauses.pop_back();
   cnf.add_clause({3});
   EXPECT_NE(cnf.validate(), "");
-}
-
-TEST(Cnf, AtMostOneAllEncodings) {
-  for (CardEncoding e : kAll) {
-    for (int n = 2; n <= 6; ++n) {
-      Cnf cnf;
-      std::vector<int> lits;
-      for (int i = 0; i < n; ++i) lits.push_back(cnf.new_var());
-      add_at_most_one(cnf, lits, e);
-      ASSERT_EQ(cnf.validate(), "");
-      for (unsigned a = 0; a < (1u << n); ++a) {
-        int trues = __builtin_popcount(a);
-        EXPECT_EQ(solvable_with(cnf, n, a), trues <= 1)
-            << card_encoding_name(e) << " n=" << n << " assignment=" << a;
-      }
-    }
-  }
 }
 
 TEST(Cnf, TotalizerForcesOutputsUpToTheTrueCount) {
@@ -102,12 +80,6 @@ TEST(Cnf, TotalizerAssumptionCapsTheCount) {
           << "cap=" << cap << " assignment=" << a;
     }
   }
-}
-
-TEST(Cnf, ParseCardEncodingRoundTrip) {
-  for (CardEncoding e : kAll)
-    EXPECT_EQ(parse_card_encoding(card_encoding_name(e)), e);
-  EXPECT_FALSE(parse_card_encoding("totalizer").has_value());
 }
 
 TEST(Dimacs, RoundTripPreservesFormula) {

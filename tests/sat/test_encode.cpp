@@ -99,112 +99,20 @@ TEST(SatExact, MatchesOracleOnGeneratedInstances) {
   }
 }
 
-TEST(SatExact, AllCardEncodingsAgree) {
-  ConstraintSet cs = demo_set();
-  int baseline = -1;
-  for (CardEncoding e : {CardEncoding::kPairwise, CardEncoding::kSequential,
-                         CardEncoding::kCommander}) {
-    SatExactOptions opt;
-    opt.card = e;
-    SatExactResult res = sat_exact_encode(cs, opt);
-    ASSERT_TRUE(res.feasible && res.proven) << card_encoding_name(e);
-    if (baseline < 0) baseline = res.satisfied;
-    EXPECT_EQ(res.satisfied, baseline) << card_encoding_name(e);
-  }
-}
-
 TEST(FaceCnf, DifferenceScalesWhereIndicatorGuardTrips) {
-  // 40 symbols at 14 bits: the legacy indicator formulation would emit
-  // 40 * 2^14 indicator variables and trips its size guard; the
-  // difference encoding is O(n^2 * nv) and sails through.
+  // 40 symbols at 14 bits: a code-indicator formulation would need
+  // 40 * 2^14 indicator variables (past the size guard the removed
+  // indicator encoding had); the difference encoding is O(n^2 * nv) and
+  // sails through.
   ConstraintSet cs;
   cs.num_symbols = 40;
   cs.add({0, 1, 2});
   cs.add({3, 4});
-  ReductionOptions ind;
-  ind.distinct = DistinctEncoding::kIndicator;
-  EXPECT_THROW(build_face_cnf(cs, 14, ind), std::invalid_argument);
-  FaceCnf fc = build_face_cnf(cs, 14);  // kDifference default
+  FaceCnf fc = build_face_cnf(cs, 14);
   ASSERT_EQ(fc.cnf.validate(), "");
   EXPECT_LT(fc.cnf.num_vars, 40 * (1 << 14));
   Solver solver(fc.cnf);
   EXPECT_EQ(solver.solve(), SolveStatus::kSat);
-}
-
-TEST(SatExact, AllDistinctEncodingsAgree) {
-  check::GeneratorOptions gopt;
-  gopt.min_symbols = 4;
-  gopt.max_symbols = 8;
-  gopt.max_extra_bits = 0;
-  check::InstanceGenerator gen(42, gopt);
-  int checked = 0;
-  while (checked < 8) {
-    check::InstanceGenerator::Instance inst = gen.next();
-    if (inst.set.num_symbols > 8 || inst.set.size() > 8) continue;
-    int baseline = -1;
-    for (DistinctEncoding d :
-         {DistinctEncoding::kDifference, DistinctEncoding::kIndicator,
-          DistinctEncoding::kLazy}) {
-      SatExactOptions opt;
-      opt.distinct = d;
-      SatExactResult res = sat_exact_encode(inst.set, opt);
-      ASSERT_TRUE(res.feasible && res.proven)
-          << distinct_encoding_name(d) << " on " << inst.family << "#"
-          << inst.index;
-      if (baseline < 0) baseline = res.satisfied;
-      EXPECT_EQ(res.satisfied, baseline)
-          << distinct_encoding_name(d) << " on " << inst.family << "#"
-          << inst.index << ": " << inst.set.to_string();
-      check::VerifyReport rep = check::verify_encoding(inst.set, res.encoding);
-      EXPECT_TRUE(rep.ok()) << rep.to_string();
-    }
-    ++checked;
-  }
-}
-
-TEST(SatExact, SweepModesAreBitIdentical) {
-  // The canonical-model contract: every sweep mode that proves the same
-  // target must hand back the same encoding bit for bit, not merely an
-  // equally good one.
-  check::GeneratorOptions gopt;
-  gopt.min_symbols = 4;
-  gopt.max_symbols = 8;
-  gopt.max_extra_bits = 0;
-  check::InstanceGenerator gen(7, gopt);
-  int checked = 0;
-  while (checked < 6) {
-    check::InstanceGenerator::Instance inst = gen.next();
-    if (inst.set.num_symbols > 8 || inst.set.size() > 8) continue;
-    SatExactOptions base;
-    base.sweep = SweepMode::kDescending;
-    SatExactResult ref = sat_exact_encode(inst.set, base);
-    ASSERT_TRUE(ref.proven) << inst.family << "#" << inst.index;
-    for (SweepMode m : {SweepMode::kBinary, SweepMode::kScratch}) {
-      SatExactOptions opt;
-      opt.sweep = m;
-      SatExactResult res = sat_exact_encode(inst.set, opt);
-      EXPECT_EQ(res.feasible, ref.feasible) << sweep_mode_name(m);
-      EXPECT_EQ(res.satisfied, ref.satisfied)
-          << sweep_mode_name(m) << " on " << inst.family << "#" << inst.index
-          << ": " << inst.set.to_string();
-      EXPECT_EQ(res.proven, ref.proven) << sweep_mode_name(m);
-      EXPECT_EQ(res.encoding.codes, ref.encoding.codes)
-          << sweep_mode_name(m) << " on " << inst.family << "#" << inst.index;
-    }
-    ++checked;
-  }
-}
-
-TEST(SatExact, NameParsersRoundTrip) {
-  for (DistinctEncoding d :
-       {DistinctEncoding::kDifference, DistinctEncoding::kIndicator,
-        DistinctEncoding::kLazy})
-    EXPECT_EQ(parse_distinct_encoding(distinct_encoding_name(d)), d);
-  EXPECT_FALSE(parse_distinct_encoding("bitwise").has_value());
-  for (SweepMode m :
-       {SweepMode::kDescending, SweepMode::kBinary, SweepMode::kScratch})
-    EXPECT_EQ(parse_sweep_mode(sweep_mode_name(m)), m);
-  EXPECT_FALSE(parse_sweep_mode("linear").has_value());
 }
 
 TEST(SatExact, DeterministicAcrossRuns) {

@@ -73,9 +73,7 @@ TEST(SolverTrajectory, TableOneSlice) {
 }
 
 TEST(SolverTrajectory, GeneratorStream) {
-  // One fixed generator stream, cycling through the default descending
-  // sweep, the binary sweep on the same incremental solver, and the lazy
-  // distinctness encoding (add_var/add_clause between calls).
+  // One fixed generator stream at the default options.
   check::GeneratorOptions g;
   g.max_symbols = 12;
   check::InstanceGenerator gen(20261018, g);
@@ -86,21 +84,19 @@ TEST(SolverTrajectory, GeneratorStream) {
     SatExactOptions opt;
     opt.num_bits = inst.num_bits;
     opt.max_conflicts = 2'000;
-    if (i % 3 == 1) opt.sweep = SweepMode::kBinary;
-    if (i % 3 == 2) opt.distinct = DistinctEncoding::kLazy;
     SatExactResult r = sat_exact_encode(inst.set, opt);
     conflicts += r.stats.conflicts;
     h.mix(r);
   }
-  EXPECT_EQ(conflicts, 14'462);
-  EXPECT_EQ(hex(h.h), "0xa48bb6807f91a7d2");
+  EXPECT_EQ(conflicts, 15'019);
+  EXPECT_EQ(hex(h.h), "0xd5931ec26add3faf");
 }
 
 TEST(SolverTrajectory, PastTheFirstActivityRescale) {
-  // Activities are scaled by 1e-100 once one passes 1e100.  With
-  // var_decay 0.95 the bump grows by 1/0.95 per conflict, so the first
-  // rescale falls between about 4,430 and 4,490 conflicts; one solver
-  // on keyb's all-constraints face CNF runs past it to its budget.
+  // Activities are scaled by 1e-100 once one passes 1e100.  With a
+  // VSIDS decay of 0.95 the bump grows by 1/0.95 per conflict, so the
+  // first rescale falls between about 4,430 and 4,490 conflicts; one
+  // solver on keyb's all-constraints face CNF runs past it to its budget.
   ConstraintSet cs = derive_face_constraints(make_benchmark("keyb")).set;
   FaceCnf fc = build_face_cnf(cs, Encoding::min_bits(cs.num_symbols));
   SolverOptions so;

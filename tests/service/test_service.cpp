@@ -275,7 +275,7 @@ TEST(EncodingServiceTest, BackendSelectionSeparatesCacheEntries) {
   Job sat_b;
   sat_b.set = paper_set();
   sat_b.portfolio.backend = portfolio::BackendKind::kSat;
-  sat_b.portfolio.sat_card = sat::CardEncoding::kPairwise;
+  sat_b.portfolio.sat_max_conflicts = 1'000;
   JobResult r4 = service.submit(std::move(sat_b)).get();
   EXPECT_FALSE(r4.cache_hit);
 }

@@ -28,11 +28,7 @@
 // across repeated runs and never worse than picola alone, and on
 // oracle-sized instances the sat_exact backend's verdict is diffed
 // against the brute-force oracle (proven results must hit the exact
-// optimum).  The same instances also drive the sweep differential: the
-// incremental descending and binary sweeps must return verdicts and
-// models bit-identical to scratch re-solving per target, and the lazy
-// distinctness encoding must reach the same optimum with a verifying
-// encoding.  Each instance also gets one self-checked `--backend anneal`
+// optimum).  Each instance also gets one self-checked `--backend anneal`
 // encode, which the portfolio no longer runs but the service still
 // serves.  Every slot's encoding, the annealer's included, is held to
 // the reference evaluator.
@@ -85,7 +81,6 @@ struct FuzzCounters {
   long min_cube_eligible = 0;  ///< instances small enough for the espresso oracle
   long min_cube_checked = 0;
   long prefix_checked = 0;  ///< satisfiable_with_prefix differential tests
-  long sweep_checked = 0;   ///< incremental-vs-scratch sweep differentials
   long eval_checked = 0;    ///< encodings scored by kernel and reference
   long failures = 0;
 };
@@ -207,53 +202,6 @@ std::vector<std::string> check_portfolio_instance(const ConstraintSet& cs,
           v.push_back("sat backend proved " + std::to_string(sres.satisfied) +
                       " satisfied constraints, oracle optimum is " +
                       std::to_string(oracle.max_satisfied));
-      }
-
-      // Sweep differential: the incremental modes (descending, binary)
-      // must return verdicts and models bit-identical to scratch
-      // re-solving per target — the canonical final solve makes the
-      // reported encoding a pure function of (CNF, best target), so any
-      // divergence in codes (and hence cube counts) is a bug in the
-      // assumption machinery or the incremental clause accounting.
-      if (counters) ++counters->sweep_checked;
-      auto diff_sweep = [&](sat::SweepMode mode, const char* name) {
-        sat::SatExactOptions alt = so;
-        alt.sweep = mode;
-        sat::SatExactResult other = sat::sat_exact_encode(cs, alt);
-        if (other.feasible != sres.feasible ||
-            other.satisfied != sres.satisfied ||
-            other.proven != sres.proven)
-          v.push_back(std::string("sweep differential: ") + name +
-                      " verdict (feasible=" +
-                      std::to_string(other.feasible) + ", satisfied=" +
-                      std::to_string(other.satisfied) + ", proven=" +
-                      std::to_string(other.proven) +
-                      ") diverges from descending (" +
-                      std::to_string(sres.feasible) + ", " +
-                      std::to_string(sres.satisfied) + ", " +
-                      std::to_string(sres.proven) + ")");
-        else if (other.feasible &&
-                 other.encoding.codes != sres.encoding.codes)
-          v.push_back(std::string("sweep differential: ") + name +
-                      " model differs from descending despite the "
-                      "canonical-solve contract");
-      };
-      diff_sweep(sat::SweepMode::kScratch, "scratch");
-      diff_sweep(sat::SweepMode::kBinary, "binary");
-
-      // The lazy distinctness encoding changes the CNF (and hence may
-      // legitimately pick a different optimal model), but verdict and
-      // optimum must match and its encoding must verify.
-      {
-        sat::SatExactOptions lz = so;
-        lz.distinct = sat::DistinctEncoding::kLazy;
-        sat::SatExactResult lazy = sat::sat_exact_encode(cs, lz);
-        if (lazy.feasible != sres.feasible ||
-            lazy.satisfied != sres.satisfied || lazy.proven != sres.proven)
-          v.push_back("lazy distinctness verdict diverges from difference");
-        else if (lazy.feasible &&
-                 !check::verify_encoding(cs, lazy.encoding).ok())
-          v.push_back("lazy distinctness encoding fails verification");
       }
     } catch (const std::invalid_argument&) {
       // oracle or reduction over budget for this nv; skip the differential
@@ -492,7 +440,6 @@ int fuzz_main(const FuzzOptions& fo) {
             << counters.invariant_checked << " invariant-checked, "
             << counters.oracle_checked << " oracle-checked, "
             << counters.prefix_checked << " prefix-differential, "
-            << counters.sweep_checked << " sweep-differential, "
             << counters.eval_checked << " eval-differential, "
             << counters.min_cube_checked << " min-cube-checked, "
             << counters.failures << " failures, check/violations="
