@@ -6,7 +6,10 @@
 // under 1% of a picola_encode run on the Table-1 instances, and scoring
 // an encoding with evaluate_constraints must cost at most a quarter of
 // scoring it with the reference evaluator, summed over the 31 Table I
-// instances.
+// instances.  It then reports, without a gate, what multi-start costs
+// per instance class: Σ picola_encode_best over Table I split into tbk
+// (tie-free, so restart 0 answers alone) and the rest, and the share of
+// tie-free runs in generated sets of growing constraint counts.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +18,7 @@
 #include <random>
 #include <string>
 
+#include "check/instance_gen.h"
 #include "check/reference_eval.h"
 #include "constraints/derive.h"
 #include "core/picola.h"
@@ -271,6 +275,52 @@ bool run_eval_cost_check() {
   return ok;
 }
 
+/// Multi-start by instance class (docs/ALGORITHM.md, "Tie-free
+/// restarts"): Σ picola_encode_best(·, 4) over Table I, the evals it runs
+/// included, with tbk apart; then how many generated sets (8-64 symbols)
+/// are tie-free at up to 6, 40 and 120 constraints.
+void run_restart_report() {
+  constexpr int kRestarts = 4;
+  constexpr int kReps = 5;
+  std::printf("\nmulti-start by instance class (picola_encode_best, %d "
+              "restarts, encode + eval, Table I):\n",
+              kRestarts);
+  double tbk_ns = 0, rest_ns = 0;
+  for (const std::string& name : table1_benchmarks()) {
+    DerivedConstraints d = derive_face_constraints(make_benchmark(name));
+    uint64_t t0 = steady_now_ns();
+    for (int i = 0; i < kReps; ++i)
+      benchmark::DoNotOptimize(
+          picola_encode_best(d.set, kRestarts).encoding.codes);
+    double ns = static_cast<double>(steady_now_ns() - t0) / kReps;
+    (name == "tbk" ? tbk_ns : rest_ns) += ns;
+  }
+  std::printf("  %-8s %10.1f us\n  %-8s %10.1f us\n  %-8s %10.1f us\n",
+              "tbk", tbk_ns / 1e3, "rest", rest_ns / 1e3, "total",
+              (tbk_ns + rest_ns) / 1e3);
+
+  constexpr int kInstances = 2000;
+  std::printf("tie-free runs among %d generated sets (8-64 symbols, seed "
+              "20261019):\n",
+              kInstances);
+  for (int max_constraints : {6, 40, 120}) {
+    check::GeneratorOptions g;
+    g.min_symbols = 8;
+    g.max_symbols = 64;
+    g.max_constraints = max_constraints;
+    check::InstanceGenerator gen(20261019, g);
+    int tie_free = 0;
+    for (int i = 0; i < kInstances; ++i) {
+      check::InstanceGenerator::Instance inst = gen.next();
+      PicolaOptions opt;
+      opt.num_bits = inst.num_bits;
+      tie_free += picola_encode(inst.set, opt).stats.tie_free;
+    }
+    std::printf("  up to %3d constraints: %4d (%.1f%%)\n", max_constraints,
+                tie_free, 100.0 * tie_free / kInstances);
+  }
+}
+
 }  // namespace
 }  // namespace picola
 
@@ -282,5 +332,6 @@ int main(int argc, char** argv) {
   bool ok = picola::run_obs_overhead_check();
   ok &= picola::run_fault_overhead_check();
   ok &= picola::run_eval_cost_check();
+  picola::run_restart_report();
   return ok ? 0 : 1;
 }

@@ -34,11 +34,18 @@ namespace {
 /// same order, minus exact zeros (a gain is never -0.0, so skipping one
 /// changes no sum): every gain is the same double and every tie-break the
 /// same.  The buffers outlive the column, so an encode allocates them once.
+///
+/// Until the encode meets its first tie, each flip also compares the
+/// chosen candidate with every other legal one (docs/ALGORITHM.md,
+/// "Tie-free restarts").
 class ColumnSolver {
  public:
   std::vector<int> solve(const ConstraintMatrix& m,
                          const std::vector<uint32_t>& prefixes,
                          int column_index, const PicolaOptions& opt);
+
+  /// True once some flip of this encode met a tie.
+  bool tied() const { return tied_; }
 
  private:
   /// An active row with unsatisfied entries.
@@ -80,6 +87,7 @@ class ColumnSolver {
   std::vector<uint64_t> legal_;            ///< candidate symbols
   std::vector<uint64_t> scored_;           ///< classes holding a candidate
   std::vector<double> gain_;               ///< per class, scored_ only
+  bool tied_ = false;
 };
 
 template <typename Part>
@@ -248,7 +256,25 @@ std::vector<int> ColumnSolver::solve(const ConstraintMatrix& m,
       assert(valid && "an oversized group always has a legal flip");
       break;
     }
-    if (valid && best_gain <= 0) break;
+    // Tie check: does another legal symbol come within kTieEps of the
+    // chosen one, in either comparison the randomised scan makes?  A
+    // stopping step flips nothing, and the deterministic scan stops only
+    // when the largest gain is <= 0, so then every seed stops.  A
+    // randomised scan stops on the gain that opened its tie window, so
+    // its stopping step is checked too.
+    const bool stop = valid && best_gain <= 0;
+    if (!tied_ && (!stop || randomize)) {
+      const double chosen =
+          gain_[static_cast<size_t>(class_[static_cast<size_t>(best)])];
+      for_each_legal([&](size_t t) {
+        const double gain = gain_[static_cast<size_t>(class_[t])];
+        if (t != static_cast<size_t>(best) &&
+            (!(chosen > gain + kTieEps) || gain > chosen - kTieEps))
+          tied_ = true;
+      });
+      if (tied_ && opt.on_first_tie) opt.on_first_tie();
+    }
+    if (stop) break;
 
     // Flip `best` to 0.  Only its group's legality and the rows that hold
     // its class change.
@@ -383,6 +409,7 @@ PicolaResult picola_encode(const ConstraintSet& cs, const PicolaOptions& opt) {
           static_cast<double>(span_column.elapsed_ns()) / 1e6);
   }
 
+  result.stats.tie_free = !solver.tied();
   result.encoding.num_symbols = n;
   result.encoding.num_bits = nv;
   result.encoding.codes = prefixes;
@@ -405,7 +432,8 @@ PicolaResult picola_encode_best(const ConstraintSet& cs, int restarts,
                                 const PicolaOptions& opt) {
   PICOLA_OBS_SPAN(span_best, "picola/encode_best");
   PicolaResult best = picola_encode(cs, opt);
-  if (restarts <= 1) return best;
+  // A tie-free restart 0 is every restart, and the lowest index wins.
+  if (restarts <= 1 || best.stats.tie_free) return best;
   RestartWinner winner;
   winner.offer(evaluate_constraints(cs, best.encoding).total_cubes, 0);
   for (int r = 1; r < restarts; ++r) {

@@ -66,6 +66,10 @@ struct PicolaOptions {
   /// result of a run that completes, so it is excluded from the service
   /// fingerprint and stripped by canonicalize() (service/job.h).
   std::shared_ptr<const CancelToken> cancel;
+  /// Called at the run's first tie (encoders/restart.h); the service
+  /// posts the other restarts of a plan from it.  Like `cancel` it never
+  /// affects the result, and canonicalize() strips it.
+  TieHook on_first_tie;
 };
 
 /// Diagnostics of one run.
@@ -89,6 +93,11 @@ struct PicolaStats {
   int satisfied_constraints = 0;
   /// Update_constraints() classification passes (one per column).
   long classify_calls = 0;
+  /// Set by picola_encode when no flip of the run met a tie: every
+  /// other legal candidate's gain stayed more than kTieEps below the
+  /// chosen one's.  Every tie-breaking seed then returns these codes
+  /// (docs/ALGORITHM.md, "Tie-free restarts").  Not persisted.
+  bool tie_free = false;
   /// Wall time of each column (classify + guides + solve), obs on only.
   std::vector<double> column_ms;
   /// Per-phase totals across all columns, obs on only.
@@ -118,9 +127,11 @@ PicolaResult picola_encode(const ConstraintSet& cs,
 /// tie-breaking seed — by default deterministic — the rest with seeds
 /// derived from it; see encoders/restart.h) and return the run with the
 /// smallest espresso-evaluated total cube count, ties broken by lowest
-/// restart index.  The restarts are independent, so the concurrent
-/// EncodingService (src/service) fans them out as pool tasks and reduces
-/// with the same rule, producing bit-identical results.
+/// restart index.  A tie-free restart 0 is returned at once: every other
+/// restart would return its codes, and the lowest index wins the tie.
+/// The restarts are independent, so the concurrent EncodingService
+/// (src/service) fans them out as pool tasks and reduces with the same
+/// rule, producing bit-identical results.
 PicolaResult picola_encode_best(const ConstraintSet& cs, int restarts,
                                 const PicolaOptions& opt = {});
 

@@ -16,9 +16,16 @@
 // restart tasks) — observes it at the next column boundary and aborts
 // with CancelledError.  Cancellation is cooperative and monotone: once
 // cancelled, a token stays cancelled.
+//
+// Restarts differ only through their tie-breaks, so a restart 0 that
+// never meets a tie answers the whole plan (docs/ALGORITHM.md, "Tie-free
+// restarts").  A run reports its first tie through a TieHook; the
+// service posts restarts 1..R-1 from it, and skips them when it never
+// fires.
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 
 namespace picola {
@@ -53,6 +60,14 @@ class CancelToken {
  private:
   std::atomic<bool> flag_{false};
 };
+
+/// Called by a run the first time it meets a tie between candidate
+/// flips: from then on a restart with another seed may return other
+/// codes.  It runs at most once per run, on the running thread, and must
+/// not throw.  Like the CancelToken it is request-lifetime state that
+/// never changes the run's result, so canonicalize() (service/job.h)
+/// strips it and no fingerprint or persist record sees it.
+using TieHook = std::function<void()>;
 
 /// Raised out of picola_encode / picola_encode_best when the plan's
 /// CancelToken fires mid-run.  A cancelled run produced no encoding; the

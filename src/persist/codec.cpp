@@ -169,7 +169,8 @@ bool get_options(Reader& r, PicolaOptions* o) {
   o->unweighted = flags & 8;
   o->guide.recursive = flags & 16;
   o->self_check = flags & 32;
-  o->cancel = nullptr;  // canonical jobs never carry a token
+  o->cancel = nullptr;  // canonical jobs never carry a token or a hook
+  o->on_first_tie = nullptr;
   return true;
 }
 

@@ -193,6 +193,8 @@ SatExactResult sat_exact_encode(const ConstraintSet& cs,
   int found = -1;  ///< best target with a confirmed model
   bool unknown_above = false;
   Encoding model;  ///< the latest model any call found
+  /// `model` came from a fresh solver's first call, at target `found`.
+  bool canonical = false;
   auto solve_at = [&](Solver& solver, int target) {
     check_cancel();
     SolveStatus st = solver.solve(target_assumptions(ctx, target));
@@ -225,6 +227,7 @@ SatExactResult sat_exact_encode(const ConstraintSet& cs,
       SolveStatus st = solve_at(descent, target);
       if (st == SolveStatus::kSat) {
         found = target;
+        canonical = target == m;
         break;
       }
       if (st == SolveStatus::kUnknown) {
@@ -266,10 +269,15 @@ SatExactResult sat_exact_encode(const ConstraintSet& cs,
   // reported encoding is a pure function of the formula and the target,
   // whatever learned-clause state the sweep accumulated.  If the fresh
   // solver hits the per-call budget on a query the sweep already
-  // answered, the sweep's model stands.
-  Solver canon(ctx.work, so);
-  solve_at(canon, found);
-  accumulate(&res.stats, canon.stats());
+  // answered, the sweep's model stands.  When the descent's first call
+  // was satisfiable, its solver was just as fresh and saw the same
+  // formula and assumptions, so the re-solve would repeat it call for
+  // call: that model already is the canonical one.
+  if (!canonical) {
+    Solver canon(ctx.work, so);
+    solve_at(canon, found);
+    accumulate(&res.stats, canon.stats());
+  }
   res.encoding = std::move(model);
   res.feasible = true;
   res.satisfied = count_satisfied_constraints(cs, res.encoding);

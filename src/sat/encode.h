@@ -109,6 +109,8 @@ struct SatExactResult {
 /// reported model comes from one final canonical solve of (CNF, best
 /// target) on a fresh solver, so it is a pure function of the formula
 /// and the target, whatever learned-clause state the sweep built up.
+/// When the descent's first call (target m, on a fresh solver) is
+/// satisfiable, that call is the canonical solve and is not repeated.
 /// Throws std::invalid_argument for a num_bits that is negative or above
 /// 20, and CancelledError if the token fires mid-search.
 SatExactResult sat_exact_encode(const ConstraintSet& cs,

@@ -63,11 +63,13 @@ bool CanonicalJob::equivalent(const CanonicalJob& other) const {
 CanonicalJob canonicalize(const Job& job) {
   CanonicalJob c;
   c.options = job.options;
-  // The cancel token never affects the result of a run that completes, so
-  // it is stripped from the canonical form: cache entries must not pin
-  // (or compare) request-lifetime tokens.  The service captures the
-  // token from the original Job before canonicalising.
+  // The cancel token and the tie hook never affect the result of a run
+  // that completes, so they are stripped from the canonical form: cache
+  // entries must not pin (or compare) request-lifetime state.  The
+  // service captures the token from the original Job before
+  // canonicalising, and installs its own hook on restart 0.
   c.options.cancel.reset();
+  c.options.on_first_tie = nullptr;
   c.restarts = std::max(1, job.restarts);
 
   // Normalise through add() (sorts members, merges duplicate groups, drops

@@ -38,6 +38,11 @@ struct EncodingService::InFlight {
   std::shared_future<JobResult> future;
   std::vector<portfolio::BackendTask> plan;
   std::vector<portfolio::BackendOutcome> outcomes;
+  /// Plan slots of picola restarts 1..R-1.  Restart 0 posts them at its
+  /// first tie; a tie-free restart 0 is every restart, so they are never
+  /// posted and their outcomes stay infeasible.
+  std::vector<int> deferred;
+  /// Posted slots not yet finished; the deferred ones join when posted.
   std::atomic<int> remaining{0};
   std::mutex error_mu;
   std::exception_ptr error;
@@ -66,6 +71,7 @@ EncodingService::EncodingService(const ServiceOptions& options)
       inflight_joins_(registry_.counter("service/inflight_joins")),
       cache_misses_(registry_.counter("service/cache_misses")),
       restart_tasks_(registry_.counter("service/restart_tasks")),
+      restarts_skipped_(registry_.counter("service/restarts_skipped")),
       job_wall_ns_(registry_.histogram("service/job")),
       backend_picola_ns_(registry_.histogram("portfolio/picola")),
       backend_sat_ns_(registry_.histogram("portfolio/sat")),
@@ -166,6 +172,7 @@ std::shared_future<JobResult> EncodingService::submit(Job job,
   jobs_submitted_.add(1);
 
   std::shared_ptr<InFlight> fly;
+  std::vector<int> now;  ///< every slot but the deferred restarts
   {
     std::unique_lock<std::mutex> lock(mu_);
 
@@ -200,13 +207,19 @@ std::shared_future<JobResult> EncodingService::submit(Job job,
     }
 
     cache_misses_.add(1);
-    restart_tasks_.add(static_cast<uint64_t>(slots));
     fly = std::make_shared<InFlight>();
     fly->job = std::move(cj);
     fly->future = fly->promise.get_future().share();
     fly->plan = std::move(plan);
+    for (int r = 0; r < slots; ++r) {
+      const portfolio::BackendTask& t = fly->plan[static_cast<size_t>(r)];
+      (t.kind == portfolio::BackendKind::kPicola && t.restart > 0
+           ? fly->deferred
+           : now)
+          .push_back(r);
+    }
     fly->outcomes.resize(static_cast<size_t>(slots));
-    fly->remaining.store(slots);
+    fly->remaining.store(static_cast<int>(now.size()));
     fly->start_ns = obs::now_ns();
     fly->trace_id = trace_id;
     fly->cancel = std::move(cancel);
@@ -216,64 +229,88 @@ std::shared_future<JobResult> EncodingService::submit(Job job,
     pending_.emplace(fly->job.fingerprint, fly);
   }
 
-  for (int r = 0; r < slots; ++r) {
-    auto run_slot = [this, fly, r]() {
-      // The request's trace id covers the whole slot including the
-      // finish_job reduction below, so service/restart_task,
-      // portfolio/*, picola/* and service/job spans all correlate.
-      obs::ScopedTraceId trace_scope(fly->trace_id);
-      uint64_t dequeued_ns = obs::now_ns();
-      uint64_t expected = 0;
-      fly->first_dequeue_ns.compare_exchange_strong(
-          expected, dequeued_ns, std::memory_order_relaxed);
-      try {
-        PICOLA_OBS_SPAN(span_task, "service/restart_task");
-        {
-          fault::Action fa = PICOLA_FAULT_POINT("service/restart_task");
-          fault::apply_delay(fa);
-          if (fa.kind == fault::Kind::kThrow)
-            throw std::runtime_error("injected: service/restart_task");
-        }
-        if (PICOLA_FAULT_POINT("service/job_alloc").kind ==
-            fault::Kind::kThrow)
-          throw std::bad_alloc();
-        const portfolio::BackendTask task = fly->plan[static_cast<size_t>(r)];
-        uint64_t slot_start_ns = obs::now_ns();
-        portfolio::BackendOutcome outcome = portfolio::run_backend_task(
-            fly->job.set, fly->job.options, fly->job.portfolio, task,
-            fly->cancel);
-        backend_histogram(task.kind).record(obs::now_ns() - slot_start_ns);
-        if (task.kind == portfolio::BackendKind::kSat) {
-          sat_conflicts_.add(
-              static_cast<uint64_t>(outcome.sat_stats.conflicts));
-          sat_propagations_.add(
-              static_cast<uint64_t>(outcome.sat_stats.propagations));
-          sat_decisions_.add(
-              static_cast<uint64_t>(outcome.sat_stats.decisions));
-          sat_solver_calls_.add(
-              static_cast<uint64_t>(outcome.sat_solver_calls));
-        }
-        fly->outcomes[static_cast<size_t>(r)] = std::move(outcome);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(fly->error_mu);
-        if (!fly->error) fly->error = std::current_exception();
-      }
-      if (fly->remaining.fetch_sub(1) == 1) finish_job(fly);
-    };
+  post_slots(fly, now, /*bounded=*/true);
+  return fly->future;
+}
+
+void EncodingService::post_slots(const std::shared_ptr<InFlight>& fly,
+                                 const std::vector<int>& slots,
+                                 bool bounded) {
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const int slot = slots[i];
     try {
-      pool_.post(run_slot);
+      std::function<void()> task = [this, fly, slot]() {
+        run_slot(fly, slot);
+      };
+      if (bounded)
+        pool_.post(std::move(task));
+      else
+        pool_.post_unbounded(std::move(task));
     } catch (...) {
-      // The pool is shutting down: account for every task not posted.
+      // The pool is shutting down (or the task could not be allocated):
+      // account for every task not posted.
       {
         std::lock_guard<std::mutex> lock(fly->error_mu);
         if (!fly->error) fly->error = std::current_exception();
       }
-      if (fly->remaining.fetch_sub(slots - r) == slots - r)
-        finish_job(fly);
-      break;
+      const int unposted = static_cast<int>(slots.size() - i);
+      if (fly->remaining.fetch_sub(unposted) == unposted) finish_job(fly);
+      return;
     }
+    restart_tasks_.add(1);
   }
-  return fly->future;
+}
+
+void EncodingService::run_slot(const std::shared_ptr<InFlight>& fly,
+                               int slot) {
+  // The request's trace id covers the whole slot including the
+  // finish_job reduction below, so service/restart_task,
+  // portfolio/*, picola/* and service/job spans all correlate.
+  obs::ScopedTraceId trace_scope(fly->trace_id);
+  uint64_t dequeued_ns = obs::now_ns();
+  uint64_t expected = 0;
+  fly->first_dequeue_ns.compare_exchange_strong(expected, dequeued_ns,
+                                                std::memory_order_relaxed);
+  try {
+    PICOLA_OBS_SPAN(span_task, "service/restart_task");
+    {
+      fault::Action fa = PICOLA_FAULT_POINT("service/restart_task");
+      fault::apply_delay(fa);
+      if (fa.kind == fault::Kind::kThrow)
+        throw std::runtime_error("injected: service/restart_task");
+    }
+    if (PICOLA_FAULT_POINT("service/job_alloc").kind == fault::Kind::kThrow)
+      throw std::bad_alloc();
+    const portfolio::BackendTask task = fly->plan[static_cast<size_t>(slot)];
+    PicolaOptions popt = fly->job.options;
+    bool fanned_out = false;
+    if (slot == 0 && !fly->deferred.empty())
+      popt.on_first_tie = [this, &fly, &fanned_out]() {
+        // Restart 0 is still running, so `remaining` cannot reach 0 here;
+        // and the posts must not wait on the bound this worker drains.
+        fanned_out = true;
+        fly->remaining.fetch_add(static_cast<int>(fly->deferred.size()));
+        post_slots(fly, fly->deferred, /*bounded=*/false);
+      };
+    uint64_t slot_start_ns = obs::now_ns();
+    portfolio::BackendOutcome outcome = portfolio::run_backend_task(
+        fly->job.set, popt, fly->job.portfolio, task, fly->cancel);
+    backend_histogram(task.kind).record(obs::now_ns() - slot_start_ns);
+    if (task.kind == portfolio::BackendKind::kSat) {
+      sat_conflicts_.add(static_cast<uint64_t>(outcome.sat_stats.conflicts));
+      sat_propagations_.add(
+          static_cast<uint64_t>(outcome.sat_stats.propagations));
+      sat_decisions_.add(static_cast<uint64_t>(outcome.sat_stats.decisions));
+      sat_solver_calls_.add(static_cast<uint64_t>(outcome.sat_solver_calls));
+    }
+    if (popt.on_first_tie && !fanned_out)
+      restarts_skipped_.add(fly->deferred.size());
+    fly->outcomes[static_cast<size_t>(slot)] = std::move(outcome);
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(fly->error_mu);
+    if (!fly->error) fly->error = std::current_exception();
+  }
+  if (fly->remaining.fetch_sub(1) == 1) finish_job(fly);
 }
 
 std::vector<std::shared_future<JobResult>> EncodingService::submit_batch(

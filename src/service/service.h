@@ -16,8 +16,11 @@
 // recomputed.
 //
 // The service parallelises across jobs *and* within a job: a batch of B
-// jobs with R restarts each becomes B*R pool tasks, no task ever blocks
-// on another, and there is no nested-wait deadlock by construction.
+// jobs with R restarts each becomes at most B*R pool tasks, no task ever
+// blocks on another, and there is no nested-wait deadlock by
+// construction.  Restart 0 posts restarts 1..R-1 at its first tie; a
+// tie-free restart 0 is every restart, so they are skipped
+// (docs/SERVICE.md, "Fan-out").
 
 #include <atomic>
 #include <functional>
@@ -41,7 +44,7 @@ struct ServiceOptions {
   size_t cache_capacity = 1024;
   int cache_shards = 8;
   /// Bound on the pool's work queue (0 = unbounded); submitters block
-  /// when it is full.
+  /// when it is full.  Restarts posted by a running restart 0 pass it.
   size_t max_queue = 0;
   /// Durable cache directory (persist/store.h).  Empty = persistence
   /// off.  When set, construction recovers the cache from the dir
@@ -165,6 +168,11 @@ class EncodingService {
  private:
   struct InFlight;
 
+  /// Post `slots` of fly's plan.  `bounded` posts wait on max_queue;
+  /// restart 0's posts do not (a worker would wait on its own queue).
+  void post_slots(const std::shared_ptr<InFlight>& fly,
+                  const std::vector<int>& slots, bool bounded);
+  void run_slot(const std::shared_ptr<InFlight>& fly, int slot);
   void finish_job(const std::shared_ptr<InFlight>& fly);
   static void run_callbacks(std::vector<DoneCallback>& callbacks,
                             const std::shared_future<JobResult>& future);
@@ -183,7 +191,8 @@ class EncodingService {
   obs::Counter& cache_hits_;
   obs::Counter& inflight_joins_;
   obs::Counter& cache_misses_;
-  obs::Counter& restart_tasks_;
+  obs::Counter& restart_tasks_;     ///< pool tasks posted
+  obs::Counter& restarts_skipped_;  ///< restarts a tie-free restart 0 answered
   obs::Histogram& job_wall_ns_;  ///< "service/job" wall time, nanoseconds
   // Per-backend visibility (ISSUE 7): slot latency histograms, winner
   // counters, and the SAT solver's conflict/propagation tallies.

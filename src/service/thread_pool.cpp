@@ -29,11 +29,21 @@ ThreadPool::ThreadPool(int num_threads, size_t max_queue,
 ThreadPool::~ThreadPool() { shutdown(); }
 
 void ThreadPool::post(std::function<void()> task) {
+  enqueue(std::move(task), /*bounded=*/true);
+}
+
+void ThreadPool::post_unbounded(std::function<void()> task) {
+  enqueue(std::move(task), /*bounded=*/false);
+}
+
+void ThreadPool::enqueue(std::function<void()> task, bool bounded) {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_space_.wait(lock, [this]() {
-      return shutting_down_ || max_queue_ == 0 || queue_.size() < max_queue_;
-    });
+    if (bounded)
+      cv_space_.wait(lock, [this]() {
+        return shutting_down_ || max_queue_ == 0 ||
+               queue_.size() < max_queue_;
+      });
     if (shutting_down_)
       throw std::runtime_error("ThreadPool: post() after shutdown");
     Queued q;

@@ -50,6 +50,12 @@ class ThreadPool {
   /// std::runtime_error once shutdown has begun.
   void post(std::function<void()> task);
 
+  /// Enqueue a task past the capacity bound, never blocking.  For a task
+  /// of this pool that posts follow-up work: waiting for room in the
+  /// queue its own worker drains could wait forever.  Throws
+  /// std::runtime_error once shutdown has begun.
+  void post_unbounded(std::function<void()> task);
+
   /// Enqueue a callable and receive its result (or exception) through a
   /// future.  A throwing body is counted in pool/task_exceptions on its
   /// way into the future (the packaged_task absorbs it before the worker
@@ -82,6 +88,7 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  void enqueue(std::function<void()> task, bool bounded);
 
   struct Queued {
     uint64_t enqueue_ns = 0;  ///< stamped only when metrics are attached

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
+#include "constraints/constraint_io.h"
+#include "constraints/derive.h"
 #include "encoders/restart.h"
 #include "eval/constraint_eval.h"
+#include "kiss/benchmarks.h"
 #include "portfolio/portfolio.h"
 
 namespace picola {
@@ -33,6 +38,24 @@ ConstraintSet crowded_set() {
   cs.add({1, 4, 7, 10});
   cs.add({0, 11});
   return cs;
+}
+
+/// examples/data/overlap.con: tied, 5 distinct encodings over 8 restarts.
+ConstraintSet overlap_set() {
+  std::ifstream in(std::string(PICOLA_EXAMPLES_DIR) + "/overlap.con");
+  ConstraintParseResult parsed = parse_constraints(in);
+  EXPECT_TRUE(parsed.error.empty()) << parsed.error;
+  return parsed.set;
+}
+
+/// The sequential answer to a service job: picola_encode_best on the
+/// canonical set the service runs.
+PicolaResult sequential_best(const ConstraintSet& cs, int restarts) {
+  Job job;
+  job.set = cs;
+  job.restarts = restarts;
+  CanonicalJob canon = canonicalize(job);
+  return picola_encode_best(canon.set, restarts, canon.options);
 }
 
 /// A service/* counter, read from the service's registry.
@@ -139,6 +162,50 @@ TEST(EncodingServiceTest, PortfolioPostsRestartsPlusOneSatSlot) {
   JobResult r = service.submit(std::move(anneal)).get();
   EXPECT_EQ(r.backend, portfolio::BackendKind::kAnneal);
   EXPECT_EQ(counter(service, "restart_tasks"), 4u + 3u);
+}
+
+TEST(EncodingServiceTest, TieFreeRestartZeroAnswersAlone) {
+  // tbk's restart 0 meets no tie, so restarts 1..3 are never posted;
+  // overlap.con ties at once and posts all four.  Both answers are the
+  // sequential ones.
+  ConstraintSet tbk = derive_face_constraints(make_benchmark("tbk")).set;
+  struct Case {
+    ConstraintSet set;
+    uint64_t tasks, skipped;
+  };
+  for (const Case& c : {Case{tbk, 1, 3}, Case{overlap_set(), 4, 0}}) {
+    ServiceOptions so;
+    so.num_threads = 2;
+    EncodingService service(so);
+    Job job;
+    job.set = c.set;
+    job.restarts = 4;
+    JobResult r = service.submit(std::move(job)).get();
+    PicolaResult seq = sequential_best(c.set, 4);
+    EXPECT_EQ(r.picola.encoding.codes, seq.encoding.codes);
+    EXPECT_EQ(r.total_cubes,
+              evaluate_constraints(c.set, seq.encoding).total_cubes);
+    EXPECT_EQ(counter(service, "restart_tasks"), c.tasks);
+    EXPECT_EQ(counter(service, "restarts_skipped"), c.skipped);
+  }
+}
+
+TEST(EncodingServiceTest, RestartsPostedPastTheQueueBound) {
+  // One worker and a queue of one: restart 0 posts restarts 1..3 from the
+  // worker itself.  Were those posts to wait for room in the queue that
+  // worker drains, the job would never finish (ctest's timeout catches
+  // that hang).
+  ServiceOptions so;
+  so.num_threads = 1;
+  so.max_queue = 1;
+  EncodingService service(so);
+  Job job;
+  job.set = overlap_set();
+  job.restarts = 4;
+  JobResult r = service.submit(std::move(job)).get();
+  EXPECT_EQ(r.picola.encoding.codes,
+            sequential_best(overlap_set(), 4).encoding.codes);
+  EXPECT_EQ(counter(service, "restart_tasks"), 4u);
 }
 
 TEST(EncodingServiceTest, PermutedSubmissionHitsCache) {

@@ -118,6 +118,19 @@ TEST(ThreadPoolTest, TracksQueueHighWater) {
   EXPECT_GE(metrics.gauge_value("pool/queue_depth_hwm"), 5);
 }
 
+TEST(ThreadPoolTest, WorkerPostsPastTheBound) {
+  // The only worker posts follow-ups into its own full queue: a post that
+  // waited for room would wait forever (ctest's timeout catches a hang).
+  ThreadPool pool(1, /*max_queue=*/1);
+  std::atomic<int> ran{0};
+  pool.post([&pool, &ran]() {
+    for (int i = 0; i < 3; ++i) pool.post_unbounded([&ran]() { ++ran; });
+    ++ran;
+  });
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 4);
+}
+
 
 // ---- regression: shutdown and exception safety (see ISSUE: net PR) ----
 
@@ -126,6 +139,7 @@ TEST(ThreadPoolTest, PostAndSubmitAfterShutdownFailCleanly) {
   pool.shutdown();
   EXPECT_THROW(pool.post([]() {}), std::runtime_error);
   EXPECT_THROW(pool.submit([]() { return 1; }), std::runtime_error);
+  EXPECT_THROW(pool.post_unbounded([]() {}), std::runtime_error);
   // Shutdown is idempotent and the rejections left the pool coherent.
   pool.shutdown();
   EXPECT_THROW(pool.post([]() {}), std::runtime_error);

@@ -20,7 +20,11 @@
 //    minimum over all encodings;
 //  * the cost kernel (evaluate_constraints, constraint_cover) agrees with
 //    the reference evaluator (check/reference_eval.h) on the PICOLA codes
-//    and on seeded random codes at nv = min, min+1 or min+2.
+//    and on seeded random codes at nv = min, min+1 or min+2;
+//  * multi-start: picola_encode_best at 4 restarts returns the explicit
+//    reduction over all 4 (RestartWinner), and a tie-free restart 0,
+//    which answers alone, equals every other restart.  The summary counts
+//    the tie-free iterations, whose restarts 1-3 were skipped.
 //
 // --portfolio switches to the portfolio-differential mode: every
 // instance runs through the backend portfolio (src/portfolio: picola
@@ -55,6 +59,7 @@
 #include "constraints/constraint_io.h"
 #include "constraints/dichotomy.h"
 #include "core/picola.h"
+#include "encoders/restart.h"
 #include "encoders/trivial.h"
 #include "eval/constraint_eval.h"
 #include "obs/metrics.h"
@@ -82,6 +87,7 @@ struct FuzzCounters {
   long min_cube_checked = 0;
   long prefix_checked = 0;  ///< satisfiable_with_prefix differential tests
   long eval_checked = 0;    ///< encodings scored by kernel and reference
+  long tie_free = 0;        ///< iterations whose restarts 1-3 were skipped
   long failures = 0;
 };
 
@@ -248,6 +254,29 @@ std::vector<std::string> check_instance(const ConstraintSet& cs, int num_bits,
         picola_encode(cs, r).encoding.codes)
       v.push_back("non-deterministic result (tie_break_seed = " +
                   std::to_string(r.tie_break_seed) + ")");
+  }
+
+  // Multi-start against the explicit reduction over every restart.
+  {
+    constexpr int kRestarts = 4;
+    std::vector<PicolaResult> runs{res};
+    RestartWinner winner;
+    winner.offer(evaluate_constraints(cs, enc).total_cubes, 0);
+    for (int r = 1; r < kRestarts; ++r) {
+      runs.push_back(picola_encode(cs, picola_restart_options(opt, r)));
+      winner.offer(evaluate_constraints(cs, runs.back().encoding).total_cubes,
+                   r);
+    }
+    if (picola_encode_best(cs, kRestarts, opt).encoding.codes !=
+        runs[static_cast<size_t>(winner.restart)].encoding.codes)
+      v.push_back("picola_encode_best differs from the explicit reduction "
+                  "over its restarts");
+    if (res.stats.tie_free) {
+      if (counters) ++counters->tie_free;
+      for (const PicolaResult& run : runs)
+        if (run.encoding.codes != enc.codes)
+          v.push_back("tie-free restart 0 differs from another restart");
+    }
   }
 
   // Random codes leave most constraints with an intruder, so they drive
@@ -442,6 +471,7 @@ int fuzz_main(const FuzzOptions& fo) {
             << counters.prefix_checked << " prefix-differential, "
             << counters.eval_checked << " eval-differential, "
             << counters.min_cube_checked << " min-cube-checked, "
+            << counters.tie_free << " tie-free (restarts 1-3 skipped), "
             << counters.failures << " failures, check/violations="
             << reg.counter("check/violations").value() << "\n";
   return counters.failures == 0 ? 0 : 1;
