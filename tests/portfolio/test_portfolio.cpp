@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "check/instance_gen.h"
 #include "check/oracle.h"
+#include "constraints/derive.h"
 #include "constraints/dichotomy.h"
 #include "eval/constraint_eval.h"
+#include "kiss/benchmarks.h"
 #include "portfolio/portfolio.h"
 
 namespace picola::portfolio {
@@ -159,6 +165,66 @@ TEST(Portfolio, WinnerCubesMatchIndependentEvaluation) {
   PortfolioResult res = portfolio_encode(cs, 2, {}, fopt);
   EXPECT_EQ(res.total_cubes,
             evaluate_constraints(cs, res.picola.encoding).total_cubes);
+}
+
+/// FNV-1a over every slot's backend, feasibility, cost, code length,
+/// codes and satisfied count, in plan order.
+struct OutcomeHash {
+  uint64_t h = 0xCBF29CE484222325ULL;
+
+  void mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  void mix(const PortfolioResult& r) {
+    mix(r.outcomes.size());
+    for (const BackendOutcome& o : r.outcomes) {
+      mix(static_cast<uint64_t>(o.backend));
+      mix(o.feasible);
+      mix(static_cast<uint64_t>(o.total_cubes));
+      mix(static_cast<uint64_t>(o.result.encoding.num_bits));
+      for (uint32_t c : o.result.encoding.codes) mix(c);
+      mix(static_cast<uint64_t>(o.result.stats.satisfied_constraints));
+    }
+  }
+};
+
+std::string hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(Portfolio, TieFreeSlotsPinned) {
+  // Every slot's outcome, recorded with every slot run and scored.  tbk
+  // and the generated sets kept here are tie-free at restart 0, so each
+  // picola slot holds restart 0's codes and cost; the first tied sets of
+  // the stream ride along.
+  OutcomeHash h;
+  h.mix(portfolio_encode(derive_face_constraints(make_benchmark("tbk")).set,
+                         4));
+  check::GeneratorOptions g;
+  g.min_symbols = 8;
+  g.max_symbols = 12;
+  g.max_constraints = 40;
+  check::InstanceGenerator gen(20261019, g);
+  int tie_free = 0, tied = 0;
+  while (tie_free < 6 || tied < 2) {
+    check::InstanceGenerator::Instance inst = gen.next();
+    PicolaOptions popt;
+    popt.num_bits = inst.num_bits;
+    const bool free = picola_encode(inst.set, popt).stats.tie_free;
+    if (free ? tie_free++ >= 6 : tied++ >= 2) continue;
+    h.mix(portfolio_encode(inst.set, 4, popt));
+    PortfolioOptions fopt;
+    fopt.backend = BackendKind::kPortfolio;
+    fopt.sat_max_conflicts = 100;  // the sat slot is not what is pinned
+    h.mix(portfolio_encode(inst.set, 3, popt, fopt));
+  }
+  EXPECT_EQ(hex(h.h), "0x89e4b7abef44c6d5");
 }
 
 }  // namespace
