@@ -11,7 +11,8 @@
 namespace picola {
 
 /// Sum-of-products form: an ordered list of cubes over one CubeSpace.
-/// The space is carried by value (it is a small vector of ints).
+/// The space is carried by value; copying it shares its layout and
+/// allocates nothing.
 class Cover {
  public:
   Cover() = default;

@@ -5,8 +5,10 @@
 // (value) is present in the literal.  A full literal (all parts set) is a
 // don't-care on that variable; an empty literal makes the cube empty.
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,9 +22,23 @@ namespace picola {
 /// take the CubeSpace as a parameter.  All cubes passed to an operation
 /// must belong to the same space — this is asserted, not checked at
 /// runtime in release builds.
+///
+/// Up to kInlineWords words are stored in the cube itself, so copying or
+/// combining cubes of up to 192 parts allocates nothing; wider cubes keep
+/// their words on the heap.  docs/ALGORITHM.md ("Cube kernel") gives the
+/// widths this capacity was chosen from.
 class Cube {
  public:
+  static constexpr int kInlineWords = 3;
+
   Cube() = default;
+  Cube(const Cube& o);
+  Cube(Cube&& o) noexcept;
+  Cube& operator=(const Cube& o);
+  Cube& operator=(Cube&& o) noexcept;
+  ~Cube() {
+    if (on_heap()) delete[] heap_;
+  }
 
   /// All-zero cube (empty literal in every variable).  Rarely useful on its
   /// own; mostly a building block.
@@ -35,20 +51,24 @@ class Cube {
   /// variable `v`.
   static Cube minterm(const CubeSpace& s, const std::vector<int>& values);
 
-  int num_words() const { return static_cast<int>(words_.size()); }
-  uint64_t word(int i) const { return words_[static_cast<size_t>(i)]; }
+  int num_words() const { return n_; }
+  uint64_t word(int i) const { return data()[i]; }
+  std::span<const uint64_t> words() const {
+    return {data(), static_cast<size_t>(n_)};
+  }
+  std::span<uint64_t> words() { return {data(), static_cast<size_t>(n_)}; }
 
   bool test(const CubeSpace& s, int var, int part) const {
     int b = s.offset(var) + part;
-    return (words_[static_cast<size_t>(b >> 6)] >> (b & 63)) & 1u;
+    return (data()[b >> 6] >> (b & 63)) & 1u;
   }
   void set(const CubeSpace& s, int var, int part, bool value = true) {
     int b = s.offset(var) + part;
     uint64_t mask = uint64_t{1} << (b & 63);
     if (value)
-      words_[static_cast<size_t>(b >> 6)] |= mask;
+      data()[b >> 6] |= mask;
     else
-      words_[static_cast<size_t>(b >> 6)] &= ~mask;
+      data()[b >> 6] &= ~mask;
   }
 
   /// Set every part of `var`.
@@ -59,10 +79,16 @@ class Cube {
   /// Number of parts set in `var`'s literal.
   int var_popcount(const CubeSpace& s, int var) const;
   bool var_full(const CubeSpace& s, int var) const {
-    return var_popcount(s, var) == s.parts(var);
+    const uint64_t* w = data();
+    for (const CubeSpace::WordMask& e : s.var_words(var))
+      if ((w[e.word] & e.mask) != e.mask) return false;
+    return true;
   }
   bool var_empty(const CubeSpace& s, int var) const {
-    return var_popcount(s, var) == 0;
+    const uint64_t* w = data();
+    for (const CubeSpace::WordMask& e : s.var_words(var))
+      if (w[e.word] & e.mask) return false;
+    return true;
   }
 
   /// --- Binary-variable helpers (var must have two parts) ---
@@ -76,6 +102,9 @@ class Cube {
   /// cube contains (covers) `other`.
   bool contains(const Cube& other) const;
 
+  /// True when every part of every variable is set (the universe cube).
+  bool is_full(const CubeSpace& s) const;
+
   /// True when some variable's literal is empty (the cube denotes no
   /// minterm).
   bool is_empty(const CubeSpace& s) const;
@@ -83,6 +112,9 @@ class Cube {
   /// Number of variables in which the two cubes' literals are disjoint.
   /// distance == 0 means the cubes intersect.
   int distance(const Cube& other, const CubeSpace& s) const;
+
+  /// distance(other, s) == 0, stopping at the first disjoint variable.
+  bool intersects(const Cube& other, const CubeSpace& s) const;
 
   /// Part-wise AND.  The result may be an empty cube (check is_empty()).
   Cube intersect(const Cube& other) const;
@@ -101,19 +133,32 @@ class Cube {
   /// True when the cube covers the given minterm.
   bool covers_minterm(const CubeSpace& s, const std::vector<int>& values) const;
 
-  bool operator==(const Cube& o) const { return words_ == o.words_; }
-  bool operator!=(const Cube& o) const { return words_ != o.words_; }
-  /// Lexicographic order on the raw words; used for canonicalisation.
-  bool operator<(const Cube& o) const { return words_ < o.words_; }
+  /// Word equality, and lexicographic order on the raw words (a shorter
+  /// word list that is a prefix of a longer one orders first); used for
+  /// canonicalisation and as the sort tie-break in ESPRESSO.
+  bool operator==(const Cube& o) const;
+  bool operator!=(const Cube& o) const { return !(*this == o); }
+  bool operator<(const Cube& o) const;
 
   /// Printable form: binary variables as 0/1/-, multi-valued variables as
   /// a part bitstring, variables separated by spaces.
   std::string to_string(const CubeSpace& s) const;
 
  private:
-  explicit Cube(int num_words) : words_(static_cast<size_t>(num_words), 0) {}
+  /// A cube of `words` words, copied from `src` (zeroed when null).
+  Cube(int words, const uint64_t* src);
 
-  std::vector<uint64_t> words_;
+  bool on_heap() const { return n_ > kInlineWords; }
+  uint64_t* data() { return on_heap() ? heap_ : inline_.data(); }
+  const uint64_t* data() const { return on_heap() ? heap_ : inline_.data(); }
+
+  int n_ = 0;
+  /// inline_ is the active member while n_ <= kInlineWords; its unused
+  /// tail words stay zero, so an inline cube copies as one array.
+  union {
+    std::array<uint64_t, kInlineWords> inline_{};
+    uint64_t* heap_;
+  };
 };
 
 }  // namespace picola

@@ -15,9 +15,8 @@ Cover complement_rec(const Cover& F) {
     r.add(Cube::full(s));
     return r;
   }
-  const Cube full = Cube::full(s);
   for (const Cube& c : F.cubes())
-    if (c == full) return Cover(s);
+    if (c.is_full(s)) return Cover(s);
 
   if (F.size() == 1) return complement_cube(F[0], s);
 
@@ -43,11 +42,13 @@ Cover complement_rec(const Cover& F) {
 
 Cover complement_cube(const Cube& c, const CubeSpace& s) {
   Cover r(s);
-  const Cube full = Cube::full(s);
   for (int v = 0; v < s.num_vars(); ++v) {
     if (c.var_full(s, v)) continue;
-    Cube k = full;
-    for (int p = 0; p < s.parts(v); ++p) k.set(s, v, p, !c.test(s, v, p));
+    // Full in every other variable; the complement of c's literal in v.
+    Cube k = Cube::full(s);
+    std::span<uint64_t> w = k.words();
+    for (const CubeSpace::WordMask& e : s.var_words(v))
+      w[static_cast<size_t>(e.word)] ^= c.word(e.word) & e.mask;
     if (!k.is_empty(s)) r.add(std::move(k));
   }
   return r;

@@ -129,9 +129,9 @@ struct VarActivity {
 int select_split_var(const Cover& F);
 
 /// Union of the *non-full* literals of variable `var` over all cubes; used
-/// by the unate reduction.  Returns the part-mask as a vector<bool> sized
-/// parts(var).
-std::vector<bool> nonfull_literal_union(const Cover& F, int var);
+/// by the unate reduction.  Returns it as the literal of `var` in a cube
+/// whose other variables are empty.
+Cube nonfull_literal_union(const Cover& F, int var);
 
 /// Cube with variable `var` restricted to part `p` and every other
 /// variable full.

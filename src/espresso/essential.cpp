@@ -11,9 +11,10 @@ std::pair<Cover, Cover> essential_split(const Cover& F, const Cover& D) {
   const CubeSpace& s = F.space();
   Cover ess(s);
   Cover rest(s);
+  Cover others(s);  // rebuilt for every cube, in one buffer
+  others.reserve(F.size() + D.size());
   for (int i = 0; i < F.size(); ++i) {
-    Cover others(s);
-    others.reserve(F.size() + D.size());
+    others.clear();
     for (int j = 0; j < F.size(); ++j)
       if (j != i) others.add(F[j]);
     others.append(D);

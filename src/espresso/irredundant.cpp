@@ -20,9 +20,10 @@ Cover irredundant(Cover F, const Cover& D) {
                      return a < b;
                    });
   std::vector<bool> removed(static_cast<size_t>(F.size()), false);
+  Cover rest(s);  // rebuilt for every cube, in one buffer
+  rest.reserve(F.size() + D.size());
   for (int i = 0; i < F.size(); ++i) {
-    Cover rest(s);
-    rest.reserve(F.size() + D.size());
+    rest.clear();
     for (int j = 0; j < F.size(); ++j)
       if (j != i && !removed[static_cast<size_t>(j)]) rest.add(F[j]);
     rest.append(D);

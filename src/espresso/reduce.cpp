@@ -25,9 +25,10 @@ Cover reduce(Cover F, const Cover& D) {
   // Reduce the biggest cubes first; each reduction is performed against the
   // current (partially reduced) cover, as in ESPRESSO-II.
   F.sort_by_size_desc(s);
+  Cover rest(s);  // rebuilt for every cube, in one buffer
+  rest.reserve(F.size() + D.size());
   for (int i = 0; i < F.size(); ++i) {
-    Cover rest(s);
-    rest.reserve(F.size() + D.size());
+    rest.clear();
     for (int j = 0; j < F.size(); ++j)
       if (j != i) rest.add(F[j]);
     rest.append(D);
@@ -43,9 +44,10 @@ Cover last_gasp(Cover F, const Cover& D, const Cover& R) {
   // rest of the cover, so no reduction order effects.
   Cover reduced(s);
   reduced.reserve(F.size());
+  Cover rest(s);
+  rest.reserve(F.size() + D.size());
   for (int i = 0; i < F.size(); ++i) {
-    Cover rest(s);
-    rest.reserve(F.size() + D.size());
+    rest.clear();
     for (int j = 0; j < F.size(); ++j)
       if (j != i) rest.add(F[j]);
     rest.append(D);

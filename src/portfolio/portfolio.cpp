@@ -15,8 +15,17 @@ PortfolioResult portfolio_encode(const ConstraintSet& cs, int restarts,
 
   PortfolioResult res;
   res.outcomes.reserve(plan.size());
-  for (const BackendTask& task : plan)
+  for (const BackendTask& task : plan) {
+    // A plan's picola slots come first.  When restart 0 met no tie, every
+    // picola restart computes its codes and cost (docs/ALGORITHM.md,
+    // "Tie-free restarts"), so the other slots take copies of its outcome.
+    if (task.kind == BackendKind::kPicola && task.restart > 0 &&
+        res.outcomes[0].result.stats.tie_free) {
+      res.outcomes.push_back(res.outcomes[0]);
+      continue;
+    }
     res.outcomes.push_back(run_backend_task(cs, popt, fopt, task, cancel));
+  }
 
   int winner = reduce_outcomes(res.outcomes);
   if (winner < 0) {

@@ -146,7 +146,7 @@ TEST(Metrics, EncodingQualitySummarises) {
 TEST(Metrics, StopwatchAdvances) {
   Stopwatch sw;
   volatile long x = 0;
-  for (long i = 0; i < 100000; ++i) x += i;
+  for (long i = 0; i < 100000; ++i) x = x + i;
   EXPECT_GE(sw.elapsed_ms(), 0.0);
   EXPECT_EQ(format_ratio(1.234), "1.23");
 }

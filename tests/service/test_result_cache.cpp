@@ -256,7 +256,9 @@ TEST(ResultCacheStressTest, ConcurrentReinsertsOfSameKeyKeepOneEntry) {
       for (int i = 0; i < 500; ++i) {
         cache.insert(job, make_result(7));
         auto r = cache.lookup(job);
-        if (r) EXPECT_EQ(r->total_cubes, 7);
+        if (r) {
+          EXPECT_EQ(r->total_cubes, 7);
+        }
       }
     });
   for (auto& th : threads) th.join();
