@@ -76,8 +76,8 @@ std::vector<int> reference_solve_column(const ConstraintMatrix& m,
       double satisfied_frac =
           1.0 - static_cast<double>(unsat) / static_cast<double>(n - st.size);
       st.weight = c.weight *
-                  (1.0 + opt.progress_weight * satisfied_frac) *
-                  (1.0 + opt.size_weight / static_cast<double>(st.size));
+                  (1.0 + kProgressWeight * satisfied_frac) *
+                  (1.0 + kSizeWeight / static_cast<double>(st.size));
     }
   }
 

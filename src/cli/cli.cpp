@@ -82,10 +82,9 @@ std::optional<ParsedArgs> parse_args(const std::vector<std::string>& args,
                                   "--hedge-ms"};
   static const char* kFlags[] = {"--exact", "--inline", "--json",
                                  "--metrics", "--minimize-states",
-                                 "--no-paths", "--no-peer-forward", "--poll",
-                                 "--quiet", "--raw-table", "--self-check",
-                                 "--selectors", "--single-pass",
-                                 "--stats-json"};
+                                 "--no-paths", "--quiet", "--raw-table",
+                                 "--self-check", "--selectors",
+                                 "--single-pass", "--stats-json"};
   for (size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a.rfind("--", 0) == 0 || a == "-o") {
@@ -778,7 +777,6 @@ int cmd_serve_tcp(const ParsedArgs& a, const ServiceArgs& sa,
   if (!int_option(a, "--admin-port", 0, 65535, &o.admin_port, err)) return 2;
   if (!int_option(a, "--slow-ms", 0, 86'400'000, &o.slow_request_ms, err))
     return 2;
-  o.use_poll = a.options.count("--poll") != 0;
   o.allow_paths = a.options.count("--no-paths") == 0;
   if (a.options.count("--peers")) {
     std::string perr;
@@ -798,7 +796,6 @@ int cmd_serve_tcp(const ParsedArgs& a, const ServiceArgs& sa,
       err << "--self " << o.self << " is not in --peers\n";
       return 2;
     }
-    o.peer_forward = a.options.count("--no-peer-forward") == 0;
     if (!int_option(a, "--peer-timeout-ms", 1, 60'000, &o.peer_timeout_ms,
                     err))
       return 2;

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "espresso/espresso.h"
+
 namespace picola {
 
 void build_symbolic_cover(const Fsm& fsm, Cover* onset, Cover* dcset) {
@@ -73,13 +75,11 @@ ConstraintSet extract_constraints(const Cover& minimized, int num_symbols,
   return cs;
 }
 
-DerivedConstraints derive_face_constraints(const Fsm& fsm,
-                                           const DeriveOptions& opt) {
+DerivedConstraints derive_face_constraints(const Fsm& fsm) {
   DerivedConstraints out;
   build_symbolic_cover(fsm, &out.symbolic_onset, &out.symbolic_dc);
   out.space = out.symbolic_onset.space();
-  out.minimized =
-      esp::minimize_cover(out.symbolic_onset, out.symbolic_dc, opt.espresso);
+  out.minimized = esp::minimize_cover(out.symbolic_onset, out.symbolic_dc);
   out.set =
       extract_constraints(out.minimized, fsm.num_states(), out.space.mv_var());
   return out;

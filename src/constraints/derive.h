@@ -10,16 +10,9 @@
 
 #include "constraints/face_constraint.h"
 #include "cube/cover.h"
-#include "espresso/espresso.h"
 #include "kiss/fsm.h"
 
 namespace picola {
-
-/// Options for the derivation.
-struct DeriveOptions {
-  /// Passed through to the symbolic minimiser.
-  esp::EspressoOptions espresso;
-};
 
 /// Output of the derivation: the constraints plus the minimised symbolic
 /// cover they came from (kept for diagnostics and for the state-assignment
@@ -38,8 +31,7 @@ void build_symbolic_cover(const Fsm& fsm, Cover* onset, Cover* dcset);
 
 /// Run the full derivation (symbolic minimisation + constraint
 /// extraction).
-DerivedConstraints derive_face_constraints(const Fsm& fsm,
-                                           const DeriveOptions& opt = {});
+DerivedConstraints derive_face_constraints(const Fsm& fsm);
 
 /// Extract face constraints from a minimised symbolic cover (exposed for
 /// tests and for the paper's Figure 1 example).

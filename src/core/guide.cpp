@@ -11,7 +11,7 @@ std::optional<FaceConstraint> make_guide(const ConstraintMatrix& m, int k,
   if (static_cast<int>(intr.size()) >= m.num_symbols()) return std::nullopt;
   FaceConstraint g;
   g.members = std::move(intr);  // potential_intruders() returns sorted ids
-  g.weight = origin.weight * opt.weight_factor;
+  g.weight = origin.weight * kGuideWeightFactor;
   g.is_guide = true;
   g.origin = origin.is_guide ? origin.origin : k;
   return g;

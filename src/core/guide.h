@@ -11,10 +11,11 @@
 
 namespace picola {
 
+/// Weight of a guide relative to its origin's weight.
+inline constexpr double kGuideWeightFactor = 0.75;
+
 /// Guide-constraint construction policy.
 struct GuideOptions {
-  /// Weight of a guide relative to its origin's weight.
-  double weight_factor = 0.75;
   /// Allow guides of guides when a guide itself becomes infeasible.
   bool recursive = true;
 };

@@ -8,6 +8,7 @@
 #include "encoders/enc_like.h"
 #include "encoders/nova_like.h"
 #include "encoders/trivial.h"
+#include "espresso/espresso.h"
 #include "eval/constraint_eval.h"
 
 namespace picola {
@@ -125,8 +126,7 @@ InputEncodingResult encode_symbolic_input(const Cover& onset, const Cover& dc,
   const int n = s.parts(var);
 
   InputEncodingResult r;
-  r.minimized_symbolic =
-      esp::minimize_cover(onset, dc, opt.symbolic_minimize);
+  r.minimized_symbolic = esp::minimize_cover(onset, dc);
   r.constraints = extract_constraints(r.minimized_symbolic, n, var);
   r.encoding = run_encoder(r.constraints, opt);
 
@@ -147,8 +147,7 @@ InputEncodingResult encode_symbolic_input(const Cover& onset, const Cover& dc,
   }
 
   r.minimized = opt.minimize_final
-                    ? esp::minimize_cover(r.encoded_onset, r.encoded_dc,
-                                          opt.final_minimize)
+                    ? esp::minimize_cover(r.encoded_onset, r.encoded_dc)
                     : r.encoded_onset;
   return r;
 }

@@ -12,7 +12,6 @@
 #include "core/picola.h"
 #include "cube/cover.h"
 #include "encoders/encoding.h"
-#include "espresso/espresso.h"
 
 namespace picola {
 
@@ -31,8 +30,6 @@ struct InputEncodingOptions {
   PicolaOptions picola;
   int num_bits = 0;  ///< 0 = minimum length
   uint64_t seed = 1;
-  esp::EspressoOptions symbolic_minimize;
-  esp::EspressoOptions final_minimize;
   /// Run the final binary minimisation (off = just substitute codes).
   bool minimize_final = true;
 };

@@ -155,8 +155,8 @@ std::vector<int> ColumnSolver::solve(const ConstraintMatrix& m,
           1.0 - static_cast<double>(row.unsat) /
                     static_cast<double>(static_cast<long>(n) - row.size);
       row.weight = c.weight *
-                   (1.0 + opt.progress_weight * satisfied_frac) *
-                   (1.0 + opt.size_weight / static_cast<double>(row.size));
+                   (1.0 + kProgressWeight * satisfied_frac) *
+                   (1.0 + kSizeWeight / static_cast<double>(row.size));
     }
     rows_.push_back(row);
   }
@@ -362,7 +362,7 @@ PicolaResult picola_encode(const ConstraintSet& cs, const PicolaOptions& opt) {
       // remaining dichotomies still shrink the intruder set, which is what
       // makes the (dynamic) guide constraint meaningful.
       m.mark_infeasible(k);
-      m.scale_weight(k, opt.infeasible_weight_factor);
+      m.scale_weight(k, kInfeasibleWeightFactor);
       ++result.stats.constraints_deactivated;
     }
     if (opt.use_guides) {

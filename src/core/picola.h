@@ -20,8 +20,19 @@
 
 namespace picola {
 
-/// Tunable knobs; the defaults reproduce the paper's algorithm, the flags
-/// exist for the ablation benches (DESIGN.md §7).
+/// Solve()'s cost function weighs the dichotomies of a nearly-satisfied
+/// constraint higher: w *= 1 + kProgressWeight * satisfied_fraction.
+inline constexpr double kProgressWeight = 1.0;
+/// ... and those of a small constraint, which is cheaper to finish:
+/// w *= 1 + kSizeWeight / |L|.
+inline constexpr double kSizeWeight = 1.0;
+/// Weight multiplier applied to a constraint once it is classified
+/// infeasible (it stays in the cost function so its remaining dichotomies
+/// keep shrinking the intruder set).
+inline constexpr double kInfeasibleWeightFactor = 0.5;
+
+/// The defaults reproduce the paper's algorithm; the four flags exist for
+/// the ablation benches (DESIGN.md §7).
 struct PicolaOptions {
   /// Substitute infeasible constraints by guide constraints (§3.2).
   bool use_guides = true;
@@ -32,18 +43,8 @@ struct PicolaOptions {
   /// becomes valid; when off, stop at the first valid column (the paper's
   /// literal Solve() description).
   bool greedy_continue = true;
-  /// Weight the dichotomies of nearly-satisfied constraints higher:
-  /// w *= 1 + progress_weight * satisfied_fraction.
-  double progress_weight = 1.0;
-  /// Weight small constraints higher (they are cheaper to finish):
-  /// w *= 1 + size_weight / |L|.
-  double size_weight = 1.0;
   /// Use plain unweighted dichotomy counts (ablation: the ENC objective).
   bool unweighted = false;
-  /// Weight multiplier applied to a constraint once it is classified
-  /// infeasible (it stays in the cost function so its remaining
-  /// dichotomies keep shrinking the intruder set).
-  double infeasible_weight_factor = 0.5;
   /// Code length; 0 selects the minimum ceil(log2 n).
   int num_bits = 0;
   /// Guide-constraint construction policy.

@@ -22,6 +22,10 @@ double weighted_dichotomy_score(const ConstraintSet& cs, const Encoding& enc) {
 
 namespace {
 
+/// Initial and final temperature, relative to the constraint weights.
+constexpr double kStartTemperature = 2.0;
+constexpr double kEndTemperature = 0.01;
+
 /// Score restricted to the constraints whose evaluation can change when
 /// the codes of `a` and `b` change: every dichotomy of a constraint
 /// containing a or b, plus the (k, a)/(k, b) dichotomies of the rest.
@@ -70,7 +74,7 @@ AnnealingResult annealing_encode(const ConstraintSet& cs,
       opt.moves_per_temp > 0 ? opt.moves_per_temp : 8 * n * nv;
   std::uniform_real_distribution<double> unit(0.0, 1.0);
 
-  for (double t = opt.t_start; t > opt.t_end; t *= opt.cooling) {
+  for (double t = kStartTemperature; t > kEndTemperature; t *= opt.cooling) {
     for (int mv = 0; mv < moves_per_temp; ++mv) {
       if ((result.moves_tried & 63) == 0) throw_if_cancelled(opt.cancel.get());
       ++result.moves_tried;

@@ -17,9 +17,9 @@ namespace picola {
 struct AnnealingOptions {
   int num_bits = 0;        ///< 0 = minimum length
   uint64_t seed = 1;       ///< deterministic PRNG seed
-  double t_start = 2.0;    ///< initial temperature (relative to weights)
-  double t_end = 0.01;     ///< final temperature
-  double cooling = 0.95;   ///< geometric cooling factor
+  /// Geometric cooling factor; the temperature falls from 2.0 to 0.01
+  /// (relative to the constraint weights).
+  double cooling = 0.95;
   int moves_per_temp = 0;  ///< 0 = 8 * n * nv moves per temperature step
   /// Cooperative cancellation, checked in the flip loop (every 64 moves);
   /// a fired token aborts the run with CancelledError, same contract as

@@ -4,6 +4,12 @@
 #include "eval/constraint_eval.h"
 
 namespace picola {
+namespace {
+
+/// Maximum refinement sweeps.
+constexpr int kRefinePasses = 2;
+
+}  // namespace
 
 EncLikeResult enc_like_encode(const ConstraintSet& cs,
                               const EncLikeOptions& opt) {
@@ -34,7 +40,7 @@ EncLikeResult enc_like_encode(const ConstraintSet& cs,
         constraint_cube_count(cs.constraints[static_cast<size_t>(k)], e);
     ++result.espresso_calls;
   }
-  for (int pass = 0; pass < opt.refine_passes; ++pass) {
+  for (int pass = 0; pass < kRefinePasses; ++pass) {
     bool improved = false;
     for (int a = 0; a < n; ++a) {
       for (int b = a + 1; b < n; ++b) {

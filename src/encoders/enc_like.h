@@ -20,8 +20,6 @@ struct EncLikeOptions {
   /// Refine with espresso-evaluated pairwise swaps (slow; the point of the
   /// paper's runtime comparison).
   bool minimize_in_loop = true;
-  /// Maximum refinement sweeps.
-  int refine_passes = 2;
 };
 
 struct EncLikeResult {

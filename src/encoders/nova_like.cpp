@@ -12,6 +12,8 @@ namespace {
 
 constexpr int kFree = -1;
 constexpr int kBlocked = -2;  // reserved by an embedded constraint
+/// Maximum full sweeps of the io flavour's swap pass.
+constexpr int kSwapPasses = 3;
 
 struct Embedder {
   int n;
@@ -224,7 +226,7 @@ NovaLikeResult nova_like_encode(const ConstraintSet& cs,
     };
     std::vector<bool> base_mask = satisfied_mask(e);
     double cost = adjacency_cost(e, opt.adjacency);
-    for (int pass = 0; pass < opt.swap_passes; ++pass) {
+    for (int pass = 0; pass < kSwapPasses; ++pass) {
       bool improved = false;
       for (int a = 0; a < n; ++a) {
         for (int b = a + 1; b < n; ++b) {

@@ -39,8 +39,6 @@ struct NovaLikeOptions {
   EmbedOrder order = EmbedOrder::kWeightDesc;
   /// Try the output-aware swap pass with these preferences (io flavour).
   std::vector<AdjacencyPreference> adjacency;
-  /// Maximum full sweeps of the swap pass.
-  int swap_passes = 3;
 };
 
 struct NovaLikeResult {

@@ -68,17 +68,13 @@ Cube reduce_cube_against(const Cube& c, const Cover& rest);
 /// result if an irredundant merge beats `F`.
 Cover last_gasp(Cover F, const Cover& D, const Cover& R);
 
-/// Options for minimize().
+/// Options for minimize().  The full loop extracts essential primes into
+/// the dc-set (ESPRESSO-II's ESSEN step), runs at most 16
+/// REDUCE/EXPAND/IRREDUNDANT iterations and tries LASTGASP once they
+/// stall.
 struct EspressoOptions {
-  /// Extract essential primes into the dc-set during the iteration
-  /// (ESPRESSO-II's ESSEN step).
-  bool use_essentials = true;
-  /// Upper bound on REDUCE/EXPAND/IRREDUNDANT iterations.
-  int max_iterations = 16;
   /// Run a single EXPAND+IRREDUNDANT pass only (fast, lower quality).
   bool single_pass = false;
-  /// Try LASTGASP once the improvement loop stalls.
-  bool use_last_gasp = true;
 };
 
 /// Result of a minimisation run.

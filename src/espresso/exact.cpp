@@ -78,10 +78,13 @@ Cover all_primes(const Cover& F, const Cover& D) {
 
 namespace {
 
+/// Upper bound on branch-and-bound nodes; exact_minimize returns nullopt
+/// when it is exhausted.
+constexpr long kMaxNodes = 1'000'000;
+
 struct CoverSearch {
   const std::vector<std::vector<int>>& covers_of;  // minterm -> prime ids
   long nodes = 0;
-  long max_nodes;
   int best;
   std::vector<int> best_pick;
   std::vector<int> pick;
@@ -89,14 +92,13 @@ struct CoverSearch {
   const std::vector<std::vector<int>>& minterms_of;  // prime -> minterm ids
 
   CoverSearch(const std::vector<std::vector<int>>& co,
-              const std::vector<std::vector<int>>& mo, long budget)
+              const std::vector<std::vector<int>>& mo)
       : covers_of(co),
-        max_nodes(budget),
         best(static_cast<int>(mo.size()) + 1),
         cover_count(co.size(), 0),
         minterms_of(mo) {}
 
-  bool exhausted() const { return nodes > max_nodes; }
+  bool exhausted() const { return nodes > kMaxNodes; }
 
   /// Lower bound: greedy maximal set of uncovered minterms no two of which
   /// share a prime.
@@ -153,8 +155,7 @@ struct CoverSearch {
 
 }  // namespace
 
-std::optional<Cover> exact_minimize(const Cover& F, const Cover& D,
-                                    const ExactMinimizeOptions& opt) {
+std::optional<Cover> exact_minimize(const Cover& F, const Cover& D) {
   const CubeSpace& s = F.space();
   Cover f = F;
   f.remove_empty();
@@ -181,7 +182,7 @@ std::optional<Cover> exact_minimize(const Cover& F, const Cover& D,
     }
   }
 
-  CoverSearch search(covers_of, minterms_of, opt.max_nodes);
+  CoverSearch search(covers_of, minterms_of);
   search.run();
   if (search.exhausted()) return std::nullopt;
 

@@ -17,15 +17,9 @@ namespace picola::esp {
 /// All prime implicants of the function (onset F, dc-set D).
 Cover all_primes(const Cover& F, const Cover& D);
 
-struct ExactMinimizeOptions {
-  /// Upper bound on branch-and-bound nodes; nullopt is returned when it is
-  /// exhausted.
-  long max_nodes = 1'000'000;
-};
-
-/// A minimum-cardinality prime cover of (F, D), or nullopt when the node
-/// budget is exhausted.
-std::optional<Cover> exact_minimize(const Cover& F, const Cover& D,
-                                    const ExactMinimizeOptions& opt = {});
+/// A minimum-cardinality prime cover of (F, D), or nullopt when the space
+/// has more than 2^20 minterms or the search exhausts its budget of a
+/// million branch-and-bound nodes.
+std::optional<Cover> exact_minimize(const Cover& F, const Cover& D);
 
 }  // namespace picola::esp

@@ -5,6 +5,9 @@
 namespace picola::esp {
 namespace {
 
+/// Upper bound on REDUCE/EXPAND/IRREDUNDANT iterations.
+constexpr int kMaxIterations = 16;
+
 /// The loop proper, on an onset already cleaned of empty and contained
 /// cubes.
 EspressoResult improve(Cover F, const Cover& D, const Cover& R,
@@ -13,33 +16,26 @@ EspressoResult improve(Cover F, const Cover& D, const Cover& R,
   F = irredundant(std::move(F), D);
 
   Cover E(F.space());
-  Cover D2 = D;
-  if (opt.use_essentials && !opt.single_pass) {
+  int iters = 0;
+  if (!opt.single_pass) {
     auto [ess, rest] = essential_split(F, D);
     E = std::move(ess);
     F = std::move(rest);
+    Cover D2 = D;
     D2.append(E);
-  }
-
-  int iters = 0;
-  if (!opt.single_pass) {
     Cover best = F;
-    for (; iters < opt.max_iterations; ++iters) {
+    for (; iters < kMaxIterations; ++iters) {
       int before = F.size();
       F = reduce(std::move(F), D2);
       F = expand(std::move(F), R);
       F = irredundant(std::move(F), D2);
       if (F.size() < best.size()) best = F;
       if (F.size() >= before) {
-        if (opt.use_last_gasp) {
-          Cover gasp = last_gasp(F, D2, R);
-          if (gasp.size() < F.size()) {
-            F = std::move(gasp);
-            if (F.size() < best.size()) best = F;
-            continue;  // the stall is broken; keep iterating
-          }
-        }
-        break;
+        Cover gasp = last_gasp(F, D2, R);
+        if (gasp.size() >= F.size()) break;
+        F = std::move(gasp);
+        if (F.size() < best.size()) best = F;
+        // The stall is broken; keep iterating.
       }
     }
     F = std::move(best);

@@ -19,6 +19,9 @@ namespace picola::net {
 
 namespace {
 
+/// Timeout for one /healthz probe.
+constexpr int kHealthTimeoutMs = 500;
+
 uint64_t splitmix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -131,7 +134,7 @@ ClusterClient::ClusterClient(ClusterOptions opt) : opt_(std::move(opt)) {
   std::vector<std::string> names;
   names.reserve(opt_.members.size());
   for (const ClusterMember& m : opt_.members) names.push_back(m.name());
-  ring_ = HashRing(std::move(names), opt_.vnodes);
+  ring_ = HashRing(std::move(names));
   rng_ = splitmix64(opt_.seed ^ 0x636C7573746572ULL);  // "cluster"
   lanes_.reserve(opt_.members.size());
   breakers_.reserve(opt_.members.size());
@@ -192,7 +195,7 @@ int ClusterClient::probe_healthz(const ClusterMember& m) {
     return -1;
   int fd = -1;
   auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(opt_.health_timeout_ms);
+                  std::chrono::milliseconds(kHealthTimeoutMs);
   auto wait_fd = [&](short events) {
     for (;;) {
       pollfd p{};
@@ -501,9 +504,8 @@ std::optional<JsonValue> ClusterClient::call(const JsonValue& request,
   }
 
   const std::vector<int> prefs = ring_.preference(key);
-  int budget = opt_.max_attempts > 0
-                   ? opt_.max_attempts
-                   : static_cast<int>(2 * prefs.size() + 2);
+  // Backend dispatches (hedge legs included) this call may spend.
+  int budget = static_cast<int>(2 * prefs.size() + 2);
   int round = 0;
   int pending_floor_ms = 0;
   std::string last_error = "no eligible backend";

@@ -69,18 +69,12 @@ struct ClusterOptions {
   /// exactly one attempt per dispatch).
   ClientOptions client;
   BreakerOptions breaker;
-  int vnodes = 64;
   /// > 0: hedged re-dispatch after this many ms without a reply from
   /// the backend first attempted; 0 disables hedging.
   int hedge_ms = 0;
-  /// Total backend dispatches (hedge legs included) one call() may
-  /// spend; 0 picks 2 * members + 2.
-  int max_attempts = 0;
   /// How often a backend marked draining is re-probed (admin /healthz
   /// when the member has an admin port, otherwise a direct re-admit).
   int health_recheck_ms = 250;
-  /// Timeout for one /healthz probe.
-  int health_timeout_ms = 500;
   /// Seeds the backoff jitter (reproducible chaos schedules).
   uint64_t seed = 1;
   /// Inter-attempt backoff (full jitter, like ClientOptions but across

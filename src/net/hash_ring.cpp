@@ -31,12 +31,11 @@ uint64_t HashRing::point_hash(std::string_view member, uint32_t vnode) {
   return mix(fnv1a(member) ^ (0x9E3779B97F4A7C15ULL * (vnode + 1)));
 }
 
-HashRing::HashRing(std::vector<std::string> members, int vnodes)
+HashRing::HashRing(std::vector<std::string> members)
     : members_(std::move(members)) {
-  vnodes = std::max(1, vnodes);
-  points_.reserve(members_.size() * static_cast<size_t>(vnodes));
+  points_.reserve(members_.size() * kVnodes);
   for (size_t m = 0; m < members_.size(); ++m) {
-    for (int v = 0; v < vnodes; ++v) {
+    for (int v = 0; v < kVnodes; ++v) {
       points_.push_back(Point{
           point_hash(members_[m], static_cast<uint32_t>(v)),
           static_cast<int>(m)});

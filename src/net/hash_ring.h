@@ -2,7 +2,7 @@
 // Consistent-hash ring over cluster member names (net/cluster.h,
 // docs/CLUSTER.md).
 //
-// Each member is projected onto the 64-bit ring at `vnodes` points
+// Each member is projected onto the 64-bit ring at kVnodes points
 // (virtual nodes) hashed from its name, so load spreads evenly and
 // adding/removing one member remaps only ~1/N of the key space.  A key
 // (the cluster routing key, service/job.h route_key()) is owned by the
@@ -11,8 +11,8 @@
 // distinct member, which is what the router falls back through when a
 // backend is open-circuited, draining, or dead.
 //
-// Placement is a pure function of (member names, vnodes, key): clients
-// and servers that agree on the member list agree on ownership with no
+// Placement is a pure function of (member names, key): clients and
+// servers that agree on the member list agree on ownership with no
 // coordination — the property peer cache-hit forwarding relies on.
 
 #include <cstdint>
@@ -24,12 +24,14 @@ namespace picola::net {
 
 class HashRing {
  public:
+  /// Ring points per member.
+  static constexpr int kVnodes = 64;
+
   HashRing() = default;
 
   /// `members` are ring identities (canonically "host:port"); order is
-  /// preserved for indexing but does not affect placement.  `vnodes` is
-  /// clamped to >= 1.
-  explicit HashRing(std::vector<std::string> members, int vnodes = 64);
+  /// preserved for indexing but does not affect placement.
+  explicit HashRing(std::vector<std::string> members);
 
   size_t size() const { return members_.size(); }
   bool empty() const { return members_.empty(); }

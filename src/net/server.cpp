@@ -44,6 +44,10 @@ namespace {
 /// reads its socket cannot park the shutdown forever.
 constexpr uint64_t kDrainFlushGraceNs = 5'000'000'000ULL;
 
+/// Floors of a connection's write thresholds (ServerOptions::max_frame_bytes).
+constexpr size_t kBackpressureFloor = 1u << 20;
+constexpr size_t kWriteBufferFloor = 8u << 20;
+
 void set_nonblocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -197,7 +201,7 @@ struct Server::Impl {
         names.push_back(opt_.peers[i].name());
         if (names.back() == opt_.self) self_index_ = static_cast<int>(i);
       }
-      if (self_index_ >= 0 && opt_.peers.size() > 1 && opt_.peer_forward) {
+      if (self_index_ >= 0 && opt_.peers.size() > 1) {
         peer_ring_ = std::make_unique<HashRing>(names);
         peer_clients_.resize(opt_.peers.size());
         probe_thread_ = std::thread([this] { probe_loop(); });
@@ -216,16 +220,9 @@ struct Server::Impl {
   }
 
   static ServerOptions sanitized(ServerOptions o) {
-    // A bounded pool queue would block the event loop inside post();
-    // admission control (max_inflight) is the queue bound here.
-    o.service.max_queue = 0;
     o.max_inflight = std::max(1, o.max_inflight);
     o.max_frame_bytes =
         std::min(std::max<size_t>(o.max_frame_bytes, 64), kFrameAbsoluteMax);
-    o.write_backpressure_bytes = std::max<size_t>(o.write_backpressure_bytes,
-                                                  o.max_frame_bytes);
-    o.max_write_buffer_bytes = std::max(o.max_write_buffer_bytes,
-                                        o.write_backpressure_bytes * 2);
     o.default_restarts = std::max(1, o.default_restarts);
     return o;
   }
@@ -1218,13 +1215,15 @@ struct Server::Impl {
     try_flush(conn);
     if (conn->marked_close) return;
     const size_t unsent = conn->unsent();
-    if (unsent > opt_.max_write_buffer_bytes) {
+    const size_t backpressure =
+        std::max(opt_.max_frame_bytes, kBackpressureFloor);
+    if (unsent > std::max(2 * backpressure, kWriteBufferFloor)) {
       // The client is slower than its responses; cut it loose.
       slow_closed_.add(1);
       conn->marked_close = true;
       return;
     }
-    if (!conn->paused_read && unsent > opt_.write_backpressure_bytes) {
+    if (!conn->paused_read && unsent > backpressure) {
       conn->paused_read = true;
       update_interest(conn, /*read=*/false);
     }
@@ -1300,7 +1299,11 @@ struct Server::Impl {
   std::string net_stats_json() const {
     std::string j = "{";
     auto add = [&j](const char* k, long long v) {
-      j += "\"" + std::string(k) + "\":" + std::to_string(v) + ",";
+      j += '"';
+      j += k;
+      j += "\":";
+      j += std::to_string(v);
+      j += ',';
     };
     add("connections_accepted", accepted_.value());
     add("connections_closed", closed_.value());
@@ -1315,7 +1318,9 @@ struct Server::Impl {
     add("cancelled_jobs", cancelled_jobs_.value());
     add("frame_errors", frame_errors_.value());
     add("idle_closed", idle_closed_.value());
-    j += "\"inflight\":" + std::to_string(inflight_.value()) + "}";
+    j += "\"inflight\":";
+    j += std::to_string(inflight_.value());
+    j += '}';
     return j;
   }
 

@@ -55,12 +55,11 @@ struct ServerOptions {
   /// Close connections idle (no traffic, no pending requests) this long;
   /// 0 disables.
   int idle_timeout_ms = 0;
-  /// Largest accepted request frame; responses use the same bound.
+  /// Largest accepted request frame; responses use the same bound.  A
+  /// connection stops being read once max(max_frame_bytes, 1 MiB) of
+  /// responses is unsent, and is disconnected past twice that, or 8 MiB
+  /// if larger.
   size_t max_frame_bytes = 1u << 20;
-  /// Write-buffer level above which the connection stops being read.
-  size_t write_backpressure_bytes = 1u << 20;
-  /// Write-buffer hard cap; a slower client is disconnected.
-  size_t max_write_buffer_bytes = 8u << 20;
   /// Defaults applied to requests that omit the fields.
   int default_restarts = 4;
   int default_bits = 0;
@@ -94,14 +93,11 @@ struct ServerOptions {
   /// This node's member name ("host:port") — must equal peers[i].name()
   /// for exactly one i, or the cluster path stays off.
   std::string self;
-  /// Master switch for the peek-before-encode forwarding above.
-  bool peer_forward = true;
   /// Connect + I/O bound for one peer peek; a slow peer must cost less
   /// than the encode it might save.
   int peer_timeout_ms = 500;
-  /// The embedded EncodingService (threads, cache).  max_queue is forced
-  /// to 0: admission control bounds work *before* the pool, and a
-  /// bounded pool queue would block the event loop in post().
+  /// The embedded EncodingService (threads, cache).  Admission control
+  /// (max_inflight) bounds work before it reaches the pool.
   ServiceOptions service;
 };
 

@@ -144,25 +144,30 @@ bool get_constraint_set(Reader& r, ConstraintSet* cs) {
   return true;
 }
 
+// The four doubles after the flags are the cost-function weights, which
+// are constants: they are written as such, and a record holding any other
+// value is refused like other format drift.
+constexpr double kWeights[] = {kProgressWeight, kSizeWeight,
+                               kInfeasibleWeightFactor, kGuideWeightFactor};
+
 void put_options(Writer& w, const PicolaOptions& o) {
   uint8_t flags = (o.use_guides ? 1 : 0) | (o.use_classify ? 2 : 0) |
                   (o.greedy_continue ? 4 : 0) | (o.unweighted ? 8 : 0) |
                   (o.guide.recursive ? 16 : 0) | (o.self_check ? 32 : 0);
   w.u8(flags);
-  w.f64(o.progress_weight);
-  w.f64(o.size_weight);
-  w.f64(o.infeasible_weight_factor);
-  w.f64(o.guide.weight_factor);
+  for (double weight : kWeights) w.f64(weight);
   w.i32(o.num_bits);
   w.u64(o.tie_break_seed);
 }
 
 bool get_options(Reader& r, PicolaOptions* o) {
   uint8_t flags = 0;
-  if (!r.u8(&flags) || !r.f64(&o->progress_weight) || !r.f64(&o->size_weight) ||
-      !r.f64(&o->infeasible_weight_factor) || !r.f64(&o->guide.weight_factor) ||
-      !r.i32(&o->num_bits) || !r.u64(&o->tie_break_seed))
-    return false;
+  if (!r.u8(&flags)) return false;
+  for (double weight : kWeights) {
+    double stored = 0;
+    if (!r.f64(&stored) || stored != weight) return false;
+  }
+  if (!r.i32(&o->num_bits) || !r.u64(&o->tie_break_seed)) return false;
   o->use_guides = flags & 1;
   o->use_classify = flags & 2;
   o->greedy_continue = flags & 4;

@@ -33,14 +33,34 @@ struct Hasher {
 bool options_equal(const PicolaOptions& a, const PicolaOptions& b) {
   return a.use_guides == b.use_guides && a.use_classify == b.use_classify &&
          a.greedy_continue == b.greedy_continue &&
-         a.progress_weight == b.progress_weight &&
-         a.size_weight == b.size_weight && a.unweighted == b.unweighted &&
-         a.infeasible_weight_factor == b.infeasible_weight_factor &&
-         a.num_bits == b.num_bits &&
-         a.guide.weight_factor == b.guide.weight_factor &&
+         a.unweighted == b.unweighted && a.num_bits == b.num_bits &&
          a.guide.recursive == b.guide.recursive &&
          a.tie_break_seed == b.tie_break_seed &&
          a.self_check == b.self_check;
+}
+
+/// The canonical form of `set`: every group re-added through add() (sorts
+/// members, merges duplicate groups, drops trivial ones), then the groups
+/// ordered by members, so any permutation of one problem gives one set.
+ConstraintSet normalized(const ConstraintSet& set) {
+  ConstraintSet canon;
+  canon.num_symbols = set.num_symbols;
+  for (const FaceConstraint& f : set.constraints)
+    canon.add(f.members, f.weight);
+  std::sort(canon.constraints.begin(), canon.constraints.end(),
+            [](const FaceConstraint& a, const FaceConstraint& b) {
+              return a.members < b.members;
+            });
+  return canon;
+}
+
+/// Mixes the groups of a normalized set.
+void mix_groups(Hasher& h, const ConstraintSet& canon) {
+  for (const FaceConstraint& f : canon.constraints) {
+    h.mix(static_cast<uint64_t>(f.members.size()));
+    for (int m : f.members) h.mix(static_cast<uint64_t>(m));
+    h.mix_double(f.weight);
+  }
 }
 
 }  // namespace
@@ -71,16 +91,7 @@ CanonicalJob canonicalize(const Job& job) {
   c.options.cancel.reset();
   c.options.on_first_tie = nullptr;
   c.restarts = std::max(1, job.restarts);
-
-  // Normalise through add() (sorts members, merges duplicate groups, drops
-  // trivial groups), then order the groups themselves.
-  c.set.num_symbols = job.set.num_symbols;
-  for (const FaceConstraint& f : job.set.constraints)
-    c.set.add(f.members, f.weight);
-  std::sort(c.set.constraints.begin(), c.set.constraints.end(),
-            [](const FaceConstraint& a, const FaceConstraint& b) {
-              return a.members < b.members;
-            });
+  c.set = normalized(job.set);
 
   Hasher h;
   h.mix(static_cast<uint64_t>(c.set.num_symbols));
@@ -90,10 +101,12 @@ CanonicalJob canonicalize(const Job& job) {
         (uint64_t{o.greedy_continue} << 2) | (uint64_t{o.unweighted} << 3) |
         (uint64_t{o.guide.recursive} << 4) |
         (uint64_t{o.self_check} << 5));
-  h.mix_double(o.progress_weight);
-  h.mix_double(o.size_weight);
-  h.mix_double(o.infeasible_weight_factor);
-  h.mix_double(o.guide.weight_factor);
+  // The cost-function weights are constants; they stay in the key so
+  // that keys are unchanged.
+  h.mix_double(kProgressWeight);
+  h.mix_double(kSizeWeight);
+  h.mix_double(kInfeasibleWeightFactor);
+  h.mix_double(kGuideWeightFactor);
   h.mix(static_cast<uint64_t>(o.num_bits));
   h.mix(o.tie_break_seed);
   // Backend selection and knobs all change the result, so all of them
@@ -108,11 +121,7 @@ CanonicalJob canonicalize(const Job& job) {
         (static_cast<uint64_t>(sat::SweepMode::kDescending) << 24));
   h.mix(static_cast<uint64_t>(c.portfolio.sat_max_conflicts));
   h.mix(c.portfolio.anneal_seed);
-  for (const FaceConstraint& f : c.set.constraints) {
-    h.mix(static_cast<uint64_t>(f.members.size()));
-    for (int m : f.members) h.mix(static_cast<uint64_t>(m));
-    h.mix_double(f.weight);
-  }
+  mix_groups(h, c.set);
   c.fingerprint = h.finish();
   return c;
 }
@@ -126,24 +135,10 @@ uint64_t encoding_fingerprint(const Encoding& enc) {
 }
 
 uint64_t route_key(const ConstraintSet& set) {
-  // Same normalisation as canonicalize(): re-add through add() (sorts
-  // members, merges duplicates, drops trivial groups), then order the
-  // groups, so any permutation of one problem routes identically.
-  ConstraintSet canon;
-  canon.num_symbols = set.num_symbols;
-  for (const FaceConstraint& f : set.constraints)
-    canon.add(f.members, f.weight);
-  std::sort(canon.constraints.begin(), canon.constraints.end(),
-            [](const FaceConstraint& a, const FaceConstraint& b) {
-              return a.members < b.members;
-            });
+  const ConstraintSet canon = normalized(set);
   Hasher h;
   h.mix(static_cast<uint64_t>(canon.num_symbols));
-  for (const FaceConstraint& f : canon.constraints) {
-    h.mix(static_cast<uint64_t>(f.members.size()));
-    for (int m : f.members) h.mix(static_cast<uint64_t>(m));
-    h.mix_double(f.weight);
-  }
+  mix_groups(h, canon);
   return h.finish();
 }
 

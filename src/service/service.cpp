@@ -62,8 +62,7 @@ struct EncodingService::InFlight {
 };
 
 EncodingService::EncodingService(const ServiceOptions& options)
-    : pool_(default_threads(options.num_threads), options.max_queue,
-            &registry_),
+    : pool_(default_threads(options.num_threads), &registry_),
       cache_(options.cache_capacity, options.cache_shards, &registry_),
       jobs_submitted_(registry_.counter("service/jobs_submitted")),
       jobs_completed_(registry_.counter("service/jobs_completed")),
@@ -229,23 +228,16 @@ std::shared_future<JobResult> EncodingService::submit(Job job,
     pending_.emplace(fly->job.fingerprint, fly);
   }
 
-  post_slots(fly, now, /*bounded=*/true);
+  post_slots(fly, now);
   return fly->future;
 }
 
 void EncodingService::post_slots(const std::shared_ptr<InFlight>& fly,
-                                 const std::vector<int>& slots,
-                                 bool bounded) {
+                                 const std::vector<int>& slots) {
   for (size_t i = 0; i < slots.size(); ++i) {
     const int slot = slots[i];
     try {
-      std::function<void()> task = [this, fly, slot]() {
-        run_slot(fly, slot);
-      };
-      if (bounded)
-        pool_.post(std::move(task));
-      else
-        pool_.post_unbounded(std::move(task));
+      pool_.post([this, fly, slot]() { run_slot(fly, slot); });
     } catch (...) {
       // The pool is shutting down (or the task could not be allocated):
       // account for every task not posted.
@@ -286,11 +278,10 @@ void EncodingService::run_slot(const std::shared_ptr<InFlight>& fly,
     bool fanned_out = false;
     if (slot == 0 && !fly->deferred.empty())
       popt.on_first_tie = [this, &fly, &fanned_out]() {
-        // Restart 0 is still running, so `remaining` cannot reach 0 here;
-        // and the posts must not wait on the bound this worker drains.
+        // Restart 0 is still running, so `remaining` cannot reach 0 here.
         fanned_out = true;
         fly->remaining.fetch_add(static_cast<int>(fly->deferred.size()));
-        post_slots(fly, fly->deferred, /*bounded=*/false);
+        post_slots(fly, fly->deferred);
       };
     uint64_t slot_start_ns = obs::now_ns();
     portfolio::BackendOutcome outcome = portfolio::run_backend_task(

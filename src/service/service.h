@@ -43,9 +43,6 @@ struct ServiceOptions {
   /// Result-cache capacity (entries) and shard count.
   size_t cache_capacity = 1024;
   int cache_shards = 8;
-  /// Bound on the pool's work queue (0 = unbounded); submitters block
-  /// when it is full.  Restarts posted by a running restart 0 pass it.
-  size_t max_queue = 0;
   /// Durable cache directory (persist/store.h).  Empty = persistence
   /// off.  When set, construction recovers the cache from the dir
   /// (throwing std::runtime_error if its contents fail verification),
@@ -168,10 +165,9 @@ class EncodingService {
  private:
   struct InFlight;
 
-  /// Post `slots` of fly's plan.  `bounded` posts wait on max_queue;
-  /// restart 0's posts do not (a worker would wait on its own queue).
+  /// Post `slots` of fly's plan.
   void post_slots(const std::shared_ptr<InFlight>& fly,
-                  const std::vector<int>& slots, bool bounded);
+                  const std::vector<int>& slots);
   void run_slot(const std::shared_ptr<InFlight>& fly, int slot);
   void finish_job(const std::shared_ptr<InFlight>& fly);
   static void run_callbacks(std::vector<DoneCallback>& callbacks,

@@ -7,9 +7,7 @@
 
 namespace picola {
 
-ThreadPool::ThreadPool(int num_threads, size_t max_queue,
-                       obs::MetricsRegistry* metrics)
-    : max_queue_(max_queue) {
+ThreadPool::ThreadPool(int num_threads, obs::MetricsRegistry* metrics) {
   if (metrics) {
     tasks_posted_ = &metrics->counter("pool/tasks_posted");
     tasks_executed_ = &metrics->counter("pool/tasks_executed");
@@ -29,21 +27,8 @@ ThreadPool::ThreadPool(int num_threads, size_t max_queue,
 ThreadPool::~ThreadPool() { shutdown(); }
 
 void ThreadPool::post(std::function<void()> task) {
-  enqueue(std::move(task), /*bounded=*/true);
-}
-
-void ThreadPool::post_unbounded(std::function<void()> task) {
-  enqueue(std::move(task), /*bounded=*/false);
-}
-
-void ThreadPool::enqueue(std::function<void()> task, bool bounded) {
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (bounded)
-      cv_space_.wait(lock, [this]() {
-        return shutting_down_ || max_queue_ == 0 ||
-               queue_.size() < max_queue_;
-      });
+    std::lock_guard<std::mutex> lock(mu_);
     if (shutting_down_)
       throw std::runtime_error("ThreadPool: post() after shutdown");
     Queued q;
@@ -69,7 +54,6 @@ void ThreadPool::shutdown() {
     shutting_down_ = true;
   }
   cv_task_.notify_all();
-  cv_space_.notify_all();
   for (std::thread& w : workers_)
     if (w.joinable()) w.join();
   workers_.clear();
@@ -97,7 +81,6 @@ void ThreadPool::worker_loop() {
     if (queue_wait_ns_)
       queue_wait_ns_->record(obs::now_ns() - task.enqueue_ns);
     if (active_threads_) active_threads_->add(1);
-    cv_space_.notify_one();
     // submit() routes exceptions into the task's future before they reach
     // this frame; an exception escaping a raw post()ed task must not
     // std::terminate the worker (it used to) — swallow and count it.

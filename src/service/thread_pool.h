@@ -1,10 +1,11 @@
 #pragma once
-// Fixed-size thread pool with a bounded work queue and graceful shutdown.
+// Fixed-size thread pool with an unbounded work queue and graceful
+// shutdown.
 //
-// `post()` enqueues a task and blocks while the queue is full
-// (backpressure — a batch producer cannot outrun the workers without
-// bound); `submit()` wraps the task in a std::future so return values and
-// exceptions propagate to the caller.  `shutdown()` (and the destructor)
+// `post()` enqueues a task and never blocks (the network server's
+// admission control bounds work before it reaches the pool); `submit()`
+// wraps the task in a std::future so return values and exceptions
+// propagate to the caller.  `shutdown()` (and the destructor)
 // drains every queued task before joining the workers; tasks posted after
 // shutdown began are rejected with std::runtime_error.  An exception
 // escaping a raw post()ed task is swallowed by the worker (counted as
@@ -28,16 +29,15 @@ namespace picola {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (minimum 1).  `max_queue` bounds the
-  /// number of tasks waiting to run (not counting the ones executing);
-  /// 0 means unbounded.  When `metrics` is given, the pool keeps
+  /// Spawns `num_threads` workers (minimum 1).  When `metrics` is given,
+  /// the pool keeps
   /// pool/tasks_posted and pool/tasks_executed counters, the live
   /// pool/queue_depth and pool/active_threads gauges, the
   /// pool/queue_depth_hwm high-water gauge, and the pool/queue_wait
   /// histogram (enqueue->dequeue nanoseconds per task — the contention
   /// signal behind the scaling plateau, see docs/OBSERVABILITY.md) in it
   /// (the registry must outlive the pool).
-  explicit ThreadPool(int num_threads, size_t max_queue = 0,
+  explicit ThreadPool(int num_threads,
                       obs::MetricsRegistry* metrics = nullptr);
 
   /// Drains the queue and joins (graceful shutdown).
@@ -46,15 +46,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task; blocks while the queue is at capacity.  Throws
-  /// std::runtime_error once shutdown has begun.
+  /// Enqueue a task.  Throws std::runtime_error once shutdown has begun.
   void post(std::function<void()> task);
-
-  /// Enqueue a task past the capacity bound, never blocking.  For a task
-  /// of this pool that posts follow-up work: waiting for room in the
-  /// queue its own worker drains could wait forever.  Throws
-  /// std::runtime_error once shutdown has begun.
-  void post_unbounded(std::function<void()> task);
 
   /// Enqueue a callable and receive its result (or exception) through a
   /// future.  A throwing body is counted in pool/task_exceptions on its
@@ -88,7 +81,6 @@ class ThreadPool {
 
  private:
   void worker_loop();
-  void enqueue(std::function<void()> task, bool bounded);
 
   struct Queued {
     uint64_t enqueue_ns = 0;  ///< stamped only when metrics are attached
@@ -96,12 +88,10 @@ class ThreadPool {
   };
 
   std::mutex mu_;
-  std::condition_variable cv_task_;   ///< workers wait for work
-  std::condition_variable cv_space_;  ///< producers wait for queue space
-  std::condition_variable cv_idle_;   ///< wait_idle() waiters
+  std::condition_variable cv_task_;  ///< workers wait for work
+  std::condition_variable cv_idle_;  ///< wait_idle() waiters
   std::deque<Queued> queue_;
   std::vector<std::thread> workers_;
-  size_t max_queue_;
   int executing_ = 0;
   bool shutting_down_ = false;
   obs::Counter* tasks_posted_ = nullptr;    ///< optional, see constructor

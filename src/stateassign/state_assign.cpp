@@ -5,12 +5,19 @@
 
 #include "encoders/enc_like.h"
 #include "encoders/trivial.h"
+#include "espresso/espresso.h"
 #include "eval/metrics.h"
 #include "kiss/minimize_states.h"
 #include "kiss/simulator.h"
 #include "stateassign/assemble.h"
 
 namespace picola {
+namespace {
+
+/// Seed of the kRandom assigner's codes.
+constexpr uint64_t kRandomSeed = 1;
+
+}  // namespace
 
 const char* assigner_name(Assigner a) {
   switch (a) {
@@ -60,24 +67,14 @@ StateAssignResult assign_states(const Fsm& input_fsm,
     r.states_merged = sm.merged;
   }
   const Fsm& fsm = r.machine;
-  r.derived = derive_face_constraints(fsm, opt.derive);
+  r.derived = derive_face_constraints(fsm);
   r.derive_ms = sw.elapsed_ms();
 
   sw.restart();
   switch (opt.assigner) {
-    case Assigner::kPicola: {
-      ConstraintSet set = r.derived.set;
-      if (opt.output_affinity_weight > 0) {
-        double heaviest = 1.0;
-        for (const auto& c : set.constraints)
-          heaviest = std::max(heaviest, c.weight);
-        double scale = opt.output_affinity_weight * heaviest;
-        for (const auto& p : next_state_adjacency(fsm))
-          set.add({p.a, p.b}, scale * p.weight);
-      }
-      r.encoding = picola_encode(set, opt.picola).encoding;
+    case Assigner::kPicola:
+      r.encoding = picola_encode(r.derived.set, opt.picola).encoding;
       break;
-    }
     case Assigner::kNovaILike: {
       NovaLikeOptions no;
       r.encoding = nova_like_encode(r.derived.set, no).encoding;
@@ -98,7 +95,7 @@ StateAssignResult assign_states(const Fsm& input_fsm,
       r.encoding = sequential_encoding(fsm.num_states());
       break;
     case Assigner::kRandom:
-      r.encoding = random_encoding(fsm.num_states(), opt.random_seed);
+      r.encoding = random_encoding(fsm.num_states(), kRandomSeed);
       break;
   }
   r.encode_ms = sw.elapsed_ms();
@@ -110,8 +107,7 @@ StateAssignResult assign_states(const Fsm& input_fsm,
   } else {
     encode_transition_table(fsm, r.encoding, &r.encoded_onset, &r.encoded_dc);
   }
-  r.minimized =
-      esp::minimize_cover(r.encoded_onset, r.encoded_dc, opt.final_minimize);
+  r.minimized = esp::minimize_cover(r.encoded_onset, r.encoded_dc);
   r.minimize_ms = sw.elapsed_ms();
 
   r.pla = Pla::from_cover(r.minimized);

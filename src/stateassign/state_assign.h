@@ -32,21 +32,11 @@ const char* assigner_name(Assigner a);
 struct StateAssignOptions {
   Assigner assigner = Assigner::kPicola;
   PicolaOptions picola;
-  DeriveOptions derive;
-  esp::EspressoOptions final_minimize;
   /// Encode the minimised symbolic cover (the paper's flow).  When false,
   /// the raw transition table is encoded instead.
   bool use_symbolic_cover = true;
-  /// PICOLA only: model output affinity (the DATE'98 dynamic-model
-  /// ingredient) by adding each next-state co-occurrence pair as a
-  /// low-weight two-member face constraint, scaled by this factor relative
-  /// to the heaviest input constraint.  0 disables the augmentation.
-  /// Measured to *hurt* on the benchmark suite (EXPERIMENTS.md) — kept as
-  /// a documented negative result.
-  double output_affinity_weight = 0.0;
   /// Run pair-chart state minimisation before deriving constraints.
   bool minimize_states_first = false;
-  uint64_t random_seed = 1;
 };
 
 struct StateAssignResult {

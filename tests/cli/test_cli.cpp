@@ -220,6 +220,14 @@ TEST_F(CliTest, UnknownOptionsAreRefused) {
     EXPECT_EQ(err_.str(), std::string("unknown option ") + opt + "\n");
     EXPECT_EQ(out_.str(), "") << opt;
   }
+  // So are the serve switches that went with their behaviour: the server
+  // picks its poll backend, and forwards whenever --peers and --self are
+  // given.  The refusal comes before a socket is opened.
+  for (const char* opt : {"--poll", "--no-peer-forward"}) {
+    EXPECT_EQ(run({"serve", "--tcp", "0", opt}), 2) << opt;
+    EXPECT_EQ(err_.str(), std::string("unknown option ") + opt + "\n");
+    EXPECT_EQ(out_.str(), "") << opt;
+  }
 }
 
 TEST_F(CliTest, EncodeRejectsMalformedConstraintLines) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "constraints/derive.h"
+#include "espresso/espresso.h"
 #include "kiss/benchmarks.h"
 
 namespace picola {

@@ -92,10 +92,15 @@ INSTANTIATE_TEST_SUITE_P(RandomFunctions, MinimizeProperty,
                          ::testing::ValuesIn(MakeCases()),
                          [](const ::testing::TestParamInfo<RandomCase>& info) {
                            const auto& c = info.param;
-                           return "v" + std::to_string(c.nvars) + "_c" +
-                                  std::to_string(c.ncubes) + "_d" +
-                                  std::to_string(c.ndc) + "_s" +
-                                  std::to_string(c.seed);
+                           std::string name = "v";
+                           name += std::to_string(c.nvars);
+                           name += "_c";
+                           name += std::to_string(c.ncubes);
+                           name += "_d";
+                           name += std::to_string(c.ndc);
+                           name += "_s";
+                           name += std::to_string(c.seed);
+                           return name;
                          });
 
 class MvMinimizeProperty : public ::testing::TestWithParam<uint32_t> {};

@@ -103,7 +103,7 @@ TEST(PoolFault, TaskExceptionsCountsSubmitAndRawFailures) {
   // No injection involved: the bodies themselves throw.
   obs::MetricsRegistry reg;
   {
-    ThreadPool pool(2, 0, &reg);
+    ThreadPool pool(2, &reg);
     auto fut = pool.submit([]() -> int {
       throw std::runtime_error("submit body");
     });
@@ -261,7 +261,7 @@ TEST(CacheFault, DroppedInsertIsInvisibleToCorrectness) {
 
 TEST(PoolFault, InjectedThrowNeverOrphansASubmitFuture) {
   obs::MetricsRegistry reg;
-  ThreadPool pool(2, 0, &reg);
+  ThreadPool pool(2, &reg);
   FaultPlan plan(1);
   plan.add({"pool/task", {Kind::kThrow, 0, 0, 0}, 0, 1, 1});
   ScopedPlan scoped(std::move(plan));

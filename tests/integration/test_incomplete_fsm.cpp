@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "constraints/derive.h"
+#include "espresso/espresso.h"
 #include "kiss/kiss_io.h"
 #include "stateassign/state_assign.h"
 

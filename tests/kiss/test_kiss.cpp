@@ -78,12 +78,7 @@ TEST(Fsm, DeterminismCheck) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.fsm.is_deterministic());
   // Add an overlapping row for state A.
-  Transition t;
-  t.input = "0-";
-  t.from = r.fsm.state_index("A");
-  t.to = 0;
-  t.output = "0";
-  r.fsm.transitions.push_back(t);
+  r.fsm.transitions.push_back({"0-", r.fsm.state_index("A"), 0, "0"});
   EXPECT_FALSE(r.fsm.is_deterministic());
 }
 

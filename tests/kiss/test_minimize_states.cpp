@@ -75,7 +75,11 @@ TEST(MinimizeStates, ChainOfEquivalentStatesCollapses) {
   Fsm f;
   f.num_inputs = 1;
   f.num_outputs = 1;
-  for (int i = 0; i < 4; ++i) f.add_state("q" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) {
+    std::string name = "q";
+    name += std::to_string(i);
+    f.add_state(name);
+  }
   for (int i = 0; i < 4; ++i) {
     f.transitions.push_back({"0", i, (i + 1) % 4, "0"});
     f.transitions.push_back({"1", i, i, "1"});

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -116,7 +117,6 @@ CanonicalJob sample_job(int salt = 0) {
   j.set.add({2, 5 + salt % 2, 6});
   j.restarts = 3;
   j.options.num_bits = 4;
-  j.options.progress_weight = 1.25;
   j.options.tie_break_seed = 77 + static_cast<uint64_t>(salt);
   return canonicalize(j);
 }
@@ -222,6 +222,35 @@ TEST(RecordCodec, RejectsRemovedSatOptionValues) {
     std::string err;
     EXPECT_FALSE(decode_record(drifted, &j, &r, &err))
         << "byte " << offset << " = " << int(value);
+  }
+}
+
+TEST(RecordCodec, RejectsRemovedPicolaWeightValues) {
+  // Version 2 records carry the four cost-function weights as doubles
+  // after the flags byte.  They are constants now (1.0, 1.0, 0.5, 0.75);
+  // a record holding any other value, such as progress_weight 1.25, is
+  // refused like other format drift.
+  const CanonicalJob job = sample_job();
+  const std::string payload = encode_record(job, sample_result(1));
+  size_t at = 8 + 4 + 4 + 4;  // fingerprint, restarts, symbols, count
+  for (const FaceConstraint& c : job.set.constraints)
+    at += 4 + 4 * c.members.size() + 8 + 1 + 4;
+  at += 1;  // flags
+  const double weights[] = {1.0, 1.0, 0.5, 0.75};
+  for (int i = 0; i < 4; ++i) {
+    double stored = 0;
+    std::memcpy(&stored, payload.data() + at + 8 * i, 8);
+    ASSERT_EQ(stored, weights[i]) << "weight " << i;
+  }
+  for (int i = 0; i < 4; ++i) {
+    std::string drifted = payload;
+    const double value = 1.25;
+    std::memcpy(drifted.data() + at + 8 * i, &value, 8);
+    CanonicalJob j;
+    CachedResult r;
+    std::string err;
+    EXPECT_FALSE(decode_record(drifted, &j, &r, &err)) << "weight " << i;
+    EXPECT_NE(err.find("decode failed"), std::string::npos) << err;
   }
 }
 

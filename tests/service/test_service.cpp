@@ -191,13 +191,11 @@ TEST(EncodingServiceTest, TieFreeRestartZeroAnswersAlone) {
 }
 
 TEST(EncodingServiceTest, RestartsPostedPastTheQueueBound) {
-  // One worker and a queue of one: restart 0 posts restarts 1..3 from the
-  // worker itself.  Were those posts to wait for room in the queue that
-  // worker drains, the job would never finish (ctest's timeout catches
-  // that hang).
+  // One worker: restart 0 posts restarts 1..3 from the worker itself.
+  // Were those posts to wait on the worker that makes them, the job would
+  // never finish (ctest's timeout catches that hang).
   ServiceOptions so;
   so.num_threads = 1;
-  so.max_queue = 1;
   EncodingService service(so);
   Job job;
   job.set = overlap_set();

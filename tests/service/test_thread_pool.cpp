@@ -1,4 +1,4 @@
-// ThreadPool: bounded queue, graceful shutdown, exception propagation.
+// ThreadPool: graceful shutdown, exception propagation, contention metrics.
 
 #include "service/thread_pool.h"
 
@@ -69,29 +69,6 @@ TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
   EXPECT_EQ(pool.submit([]() { return 7; }).get(), 7);
 }
 
-TEST(ThreadPoolTest, BoundedQueueAppliesBackpressure) {
-  obs::MetricsRegistry metrics;
-  ThreadPool pool(1, /*max_queue=*/2, &metrics);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  pool.post([gate]() { gate.wait(); });  // occupy the single worker
-  std::atomic<int> posted{0};
-  std::thread producer([&]() {
-    for (int i = 0; i < 8; ++i) {
-      pool.post([]() {});
-      ++posted;
-    }
-  });
-  // The producer must stall at the queue bound while the worker is blocked.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_LE(posted.load(), 3);  // 2 queued + 1 in post() about to count
-  release.set_value();
-  producer.join();
-  pool.wait_idle();
-  EXPECT_EQ(posted.load(), 8);
-  EXPECT_LE(metrics.gauge_value("pool/queue_depth_hwm"), 2);
-}
-
 TEST(ThreadPoolTest, WaitIdleWaitsForExecutingTasks) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
@@ -108,7 +85,7 @@ TEST(ThreadPoolTest, WaitIdleWaitsForExecutingTasks) {
 
 TEST(ThreadPoolTest, TracksQueueHighWater) {
   obs::MetricsRegistry metrics;
-  ThreadPool pool(1, 0, &metrics);
+  ThreadPool pool(1, &metrics);
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
   pool.post([gate]() { gate.wait(); });
@@ -116,19 +93,6 @@ TEST(ThreadPoolTest, TracksQueueHighWater) {
   release.set_value();
   pool.wait_idle();
   EXPECT_GE(metrics.gauge_value("pool/queue_depth_hwm"), 5);
-}
-
-TEST(ThreadPoolTest, WorkerPostsPastTheBound) {
-  // The only worker posts follow-ups into its own full queue: a post that
-  // waited for room would wait forever (ctest's timeout catches a hang).
-  ThreadPool pool(1, /*max_queue=*/1);
-  std::atomic<int> ran{0};
-  pool.post([&pool, &ran]() {
-    for (int i = 0; i < 3; ++i) pool.post_unbounded([&ran]() { ++ran; });
-    ++ran;
-  });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 4);
 }
 
 
@@ -139,7 +103,6 @@ TEST(ThreadPoolTest, PostAndSubmitAfterShutdownFailCleanly) {
   pool.shutdown();
   EXPECT_THROW(pool.post([]() {}), std::runtime_error);
   EXPECT_THROW(pool.submit([]() { return 1; }), std::runtime_error);
-  EXPECT_THROW(pool.post_unbounded([]() {}), std::runtime_error);
   // Shutdown is idempotent and the rejections left the pool coherent.
   pool.shutdown();
   EXPECT_THROW(pool.post([]() {}), std::runtime_error);
@@ -147,7 +110,7 @@ TEST(ThreadPoolTest, PostAndSubmitAfterShutdownFailCleanly) {
 
 TEST(ThreadPoolTest, ThrowingPostedTaskDoesNotTerminateWorker) {
   obs::MetricsRegistry metrics;
-  ThreadPool pool(2, 0, &metrics);
+  ThreadPool pool(2, &metrics);
   // A raw post()ed task has no future to carry its exception; the worker
   // must swallow it (and count it) instead of std::terminate-ing.
   for (int i = 0; i < 8; ++i)
@@ -184,7 +147,7 @@ TEST(ThreadPoolTest, SubmitExceptionStillPropagatesThroughFuture) {
 
 TEST(ThreadPoolTest, ContentionMetricsTrackQueueAndActiveThreads) {
   obs::MetricsRegistry metrics;
-  ThreadPool pool(1, 0, &metrics);
+  ThreadPool pool(1, &metrics);
 
   // Park the single worker so posted tasks must wait in the queue.
   std::promise<void> release;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "espresso/espresso.h"
 #include "kiss/benchmarks.h"
 #include "stateassign/assemble.h"
 #include "stateassign/state_assign.h"
