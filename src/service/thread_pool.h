@@ -13,7 +13,6 @@
 // the process.
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
